@@ -5,6 +5,7 @@
 #include "data/event_stream.h"
 #include "kge/kge_trainer.h"
 #include "nn/ops.h"
+#include "nn/optim.h"
 
 namespace kgrec {
 
@@ -47,8 +48,11 @@ Status CfkgRecommender::Update(const RecContext& context,
   const KnowledgeGraph& kg = graph_->kg;
   const Rng base_rng(context.seed);
   model_->GrowEntities(kg.num_entities(), base_rng.Fork(kGrowStream));
+  nn::Sgd optimizer(model_->Params(), config_.learning_rate);
+  nn::MiniBatchTrainer trainer(optimizer, /*shard_size=*/1,
+                               /*num_threads=*/1);
   for (const Event& e : batch.events) {
-    int32_t head, relation, tail;
+    int32_t head = 0, relation = 0, tail = 0;
     switch (e.kind) {
       case EventKind::kNewUser:
       case EventKind::kNewEntity:
@@ -70,7 +74,7 @@ Status CfkgRecommender::Update(const RecContext& context,
     }
     Rng rng =
         base_rng.Fork(kFoldStream).Fork(static_cast<uint64_t>(e.timestamp));
-    FoldTriple(head, relation, tail, rng);
+    FoldTriple(head, relation, tail, rng, trainer);
   }
   // Derived state, rebuilt exactly as FinishLoad does.
   BuildItemFactors();
@@ -78,10 +82,8 @@ Status CfkgRecommender::Update(const RecContext& context,
 }
 
 void CfkgRecommender::FoldTriple(int32_t head, int32_t relation, int32_t tail,
-                                 Rng& rng) {
+                                 Rng& rng, nn::MiniBatchTrainer& trainer) {
   const size_t num_entities = graph_->kg.num_entities();
-  const float lr = config_.learning_rate;
-  std::vector<nn::Tensor> params = model_->Params();
   for (int pass = 0; pass < kFoldPasses; ++pass) {
     int32_t nh = head, nt = tail;
     if (rng.Bernoulli(0.5)) {
@@ -89,16 +91,12 @@ void CfkgRecommender::FoldTriple(int32_t head, int32_t relation, int32_t tail,
     } else {
       nt = static_cast<int32_t>(rng.UniformInt(num_entities));
     }
-    for (nn::Tensor& p : params) p.ZeroGrad();
-    nn::Tensor pos = model_->ScoreBatch({head}, {relation}, {tail});
-    nn::Tensor neg = model_->ScoreBatch({nh}, {relation}, {nt});
-    nn::Tensor loss = nn::MarginRankingLoss(neg, pos, config_.margin);
-    nn::Backward(loss);
-    for (nn::Tensor& p : params) {
-      float* d = p.data();
-      const float* g = p.grad();
-      for (size_t i = 0; i < p.size(); ++i) d[i] -= lr * g[i];
-    }
+    // The corruption is drawn above, so the shard's own fork goes unused.
+    trainer.Step(1, rng, [&](size_t, size_t, Rng&) {
+      nn::Tensor pos = model_->ScoreBatch({head}, {relation}, {tail});
+      nn::Tensor neg = model_->ScoreBatch({nh}, {relation}, {nt});
+      return nn::MarginRankingLoss(neg, pos, config_.margin);
+    });
   }
 }
 

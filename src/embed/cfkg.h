@@ -10,6 +10,10 @@
 
 namespace kgrec {
 
+namespace nn {
+class MiniBatchTrainer;
+}  // namespace nn
+
 /// Hyper-parameters for CFKG.
 struct CfkgConfig {
   size_t dim = 16;
@@ -86,10 +90,12 @@ class CfkgRecommender : public Recommender, public DotProductFactors {
 
  private:
   /// A few plain-SGD margin-ranking steps on one triple (the event's
-  /// counter-keyed rng draws the corruptions). Weight decay is omitted:
-  /// a dense L2 step would perturb every entity row, defeating the
-  /// locality of an online fold.
-  void FoldTriple(int32_t head, int32_t relation, int32_t tail, Rng& rng);
+  /// counter-keyed rng draws the corruptions), each one single-shard
+  /// `trainer` step, so it zeroes and steps only the rows of the triple
+  /// and its corruption. Weight decay is omitted: a dense L2 step would
+  /// perturb every entity row, defeating the locality of an online fold.
+  void FoldTriple(int32_t head, int32_t relation, int32_t tail, Rng& rng,
+                  nn::MiniBatchTrainer& trainer);
 
   /// Projects every item entity through the fixed "interact" relation.
   void BuildItemFactors();

@@ -380,7 +380,7 @@ Tensor Gather(const Tensor& table, const std::vector<int32_t>& indices) {
   if (node->requires_grad) {
     node->backward = [indices, d](Node& self) {
       Node& pt = *self.parents[0];
-      float* gt = internal::GradBuf(pt);
+      float* gt = internal::GradBuf(pt, &indices);
       for (size_t i = 0; i < indices.size(); ++i) {
         kernels::Axpy(1.0f, self.grad.data() + i * d, gt + indices[i] * d, d);
       }

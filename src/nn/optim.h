@@ -20,15 +20,35 @@ class Optimizer {
   Optimizer(const Optimizer&) = delete;
   Optimizer& operator=(const Optimizer&) = delete;
 
-  /// Applies one update from the accumulated gradients.
-  virtual void Step() = 0;
+  /// Applies one update from the accumulated gradients of every row.
+  void Step();
+
+  /// Applies one update from gradients that are zero outside rows[k] for
+  /// params()[k]. When a zero gradient leaves a parameter and its
+  /// optimizer state bitwise unchanged (SkipsZeroRows), only those rows
+  /// are visited; otherwise every row steps. Either way the result is
+  /// bitwise Step()'s.
+  void Step(const std::vector<internal::RowSet>& rows);
 
   /// Clears the gradients of all managed parameters.
   void ZeroGrad();
 
+  /// Clears only rows[k] of params()[k]'s gradient.
+  void ZeroGrad(const std::vector<internal::RowSet>& rows);
+
   const std::vector<Tensor>& params() const { return params_; }
 
  protected:
+  /// True when Update over a zero gradient is the identity on the
+  /// (finite) parameter and on the optimizer state.
+  virtual bool SkipsZeroRows() const = 0;
+
+  /// Per-step setup, run once before the step's Update calls.
+  virtual void BeginStep() {}
+
+  /// Updates elements [begin, begin + count) of params_[k].
+  virtual void Update(size_t k, size_t begin, size_t count) = 0;
+
   std::vector<Tensor> params_;
 };
 
@@ -37,9 +57,11 @@ class Sgd : public Optimizer {
  public:
   Sgd(std::vector<Tensor> params, float lr, float weight_decay = 0.0f)
       : Optimizer(std::move(params)), lr_(lr), weight_decay_(weight_decay) {}
-  void Step() override;
 
  private:
+  bool SkipsZeroRows() const override { return weight_decay_ == 0.0f; }
+  void Update(size_t k, size_t begin, size_t count) override;
+
   float lr_;
   float weight_decay_;
 };
@@ -49,25 +71,35 @@ class Adagrad : public Optimizer {
  public:
   Adagrad(std::vector<Tensor> params, float lr, float weight_decay = 0.0f,
           float eps = 1e-8f);
-  void Step() override;
 
  private:
+  // eps > 0 keeps a never-stepped element's 0 / (sqrt(0) + eps) at 0.
+  bool SkipsZeroRows() const override {
+    return weight_decay_ == 0.0f && eps_ > 0.0f;
+  }
+  void Update(size_t k, size_t begin, size_t count) override;
+
   float lr_;
   float weight_decay_;
   float eps_;
   std::vector<std::vector<float>> accum_;
 };
 
-/// Adam (Kingma & Ba) with bias correction.
+/// Adam (Kingma & Ba) with bias correction. Its moments decay on every
+/// step, zero gradient or not, so it always steps every row.
 class Adam : public Optimizer {
  public:
   Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
-  void Step() override;
 
  private:
+  bool SkipsZeroRows() const override { return false; }
+  void BeginStep() override;
+  void Update(size_t k, size_t begin, size_t count) override;
+
   float lr_, beta1_, beta2_, eps_, weight_decay_;
   int64_t t_ = 0;
+  float bias1_ = 1.0f, bias2_ = 1.0f;  // this step's bias corrections
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;
 };
@@ -84,6 +116,11 @@ class Adam : public Optimizer {
 /// shard-private buffer. Once all shards finish, the shadows are folded
 /// into the real grad buffers in ascending shard order and the optimizer
 /// applies a single update.
+///
+/// Every stage after Backward() is row-sparse: the shadows record the
+/// rows each shard wrote (GradShadow), and only those rows are cleared,
+/// folded, zeroed in the real grads and stepped (Optimizer::Step(rows)),
+/// bitwise equal to doing each stage over the whole table.
 ///
 /// Because shard boundaries, per-shard RNG streams, and the reduction
 /// order are all functions of (num_examples, shard_size) alone, training
@@ -117,6 +154,10 @@ class MiniBatchTrainer {
   size_t num_threads_;
   std::unique_ptr<ThreadPool> pool_;         // only when num_threads_ > 1
   std::vector<internal::GradShadow> shadows_;  // one per shard, reused
+  /// Per parameter: the rows of its real grad that may be nonzero, i.e.
+  /// those the last step folded into. Starts as "all rows" so the first
+  /// step zeroes whatever the grads held before.
+  std::vector<internal::RowSet> touched_;
 };
 
 }  // namespace kgrec::nn

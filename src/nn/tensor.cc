@@ -18,12 +18,28 @@ thread_local GradShadow* g_active_shadow = nullptr;
 
 }  // namespace
 
+void RowSet::Merge(const RowSet& other) {
+  if (other.all_) {
+    MarkAll();
+    return;
+  }
+  for (uint32_t row : other.rows_) Mark(row);
+}
+
+void RowSet::Reset() {
+  for (uint32_t row : rows_) seen_[row] = 0;
+  rows_.clear();
+  all_ = false;
+}
+
 void GradShadow::Attach(const std::vector<std::shared_ptr<Node>>& leaves) {
   leaves_.clear();
   buffers_.clear();
+  rows_.clear();
   index_.clear();
   leaves_.reserve(leaves.size());
   buffers_.reserve(leaves.size());
+  rows_.reserve(leaves.size());
   for (const auto& leaf : leaves) {
     KGREC_CHECK(leaf != nullptr);
     KGREC_CHECK(leaf->requires_grad);
@@ -36,21 +52,33 @@ void GradShadow::Attach(const std::vector<std::shared_ptr<Node>>& leaves) {
     index_.emplace(leaf.get(), leaves_.size());
     leaves_.push_back(leaf);
     buffers_.emplace_back(leaf->size(), 0.0f);
+    rows_.emplace_back(leaf->rows);
   }
 }
 
 void GradShadow::Clear() {
-  for (auto& buffer : buffers_) {
-    std::fill(buffer.begin(), buffer.end(), 0.0f);
+  for (size_t i = 0; i < leaves_.size(); ++i) {
+    float* buffer = buffers_[i].data();
+    rows_[i].ForEachRange(leaves_[i]->cols, [&](size_t begin, size_t count) {
+      std::fill_n(buffer + begin, count, 0.0f);
+    });
+    rows_[i].Reset();
   }
 }
 
-void GradShadow::AddTo() {
+void GradShadow::AddTo(std::vector<RowSet>& touched) {
+  KGREC_CHECK_EQ(touched.size(), leaves_.size());
   for (size_t i = 0; i < leaves_.size(); ++i) {
+    const float* src = buffers_[i].data();
+    float* dst = leaves_[i]->grad.data();
     // dst[j] += 1.0f * src[j] is bitwise dst[j] += src[j], so the shard
-    // fold may use the shared Axpy kernel.
-    kernels::Axpy(1.0f, buffers_[i].data(), leaves_[i]->grad.data(),
-                  buffers_[i].size());
+    // fold may use the shared Axpy kernel. Skipping an unrecorded row
+    // skips only `+= 0.0f`, which is exact: grads accumulate from +0.0f
+    // and so never hold -0.0f.
+    rows_[i].ForEachRange(leaves_[i]->cols, [&](size_t begin, size_t count) {
+      kernels::Axpy(1.0f, src + begin, dst + begin, count);
+    });
+    touched[i].Merge(rows_[i]);
   }
 }
 
@@ -61,11 +89,19 @@ GradShadow::ThreadScope::ThreadScope(GradShadow& shadow)
 
 GradShadow::ThreadScope::~ThreadScope() { g_active_shadow = previous_; }
 
-float* GradBuf(Node& node) {
+float* GradBuf(Node& node, const std::vector<int32_t>* rows) {
   GradShadow* shadow = g_active_shadow;
   if (shadow != nullptr) {
     auto it = shadow->index_.find(&node);
-    if (it != shadow->index_.end()) return shadow->buffers_[it->second].data();
+    if (it != shadow->index_.end()) {
+      RowSet& recorded = shadow->rows_[it->second];
+      if (rows == nullptr) {
+        recorded.MarkAll();
+      } else {
+        for (int32_t row : *rows) recorded.Mark(static_cast<size_t>(row));
+      }
+      return shadow->buffers_[it->second].data();
+    }
   }
   return node.grad.data();
 }

@@ -30,6 +30,42 @@ struct Node {
   size_t size() const { return rows * cols; }
 };
 
+/// The rows of one [rows, cols] gradient buffer that may hold nonzero
+/// values: either every row, or the rows recorded since the last Reset()
+/// (in first-touch order, deduplicated by a per-row flag). A buffer
+/// described by a RowSet is zero outside its rows.
+class RowSet {
+ public:
+  explicit RowSet(size_t num_rows = 0) : seen_(num_rows, 0) {}
+
+  void Mark(size_t row) {
+    if (all_ || seen_[row] != 0) return;
+    seen_[row] = 1;
+    rows_.push_back(static_cast<uint32_t>(row));
+  }
+  void MarkAll() { all_ = true; }
+  void Merge(const RowSet& other);
+  /// Back to "no rows", touching only the flags of the recorded rows.
+  void Reset();
+
+  /// Calls fn(begin, count) over the element ranges these rows cover in
+  /// a buffer with `cols` columns: once over the whole buffer when every
+  /// row is marked, else once per recorded row.
+  template <typename Fn>
+  void ForEachRange(size_t cols, Fn&& fn) const {
+    if (all_) {
+      fn(size_t{0}, seen_.size() * cols);
+      return;
+    }
+    for (uint32_t row : rows_) fn(size_t{row} * cols, cols);
+  }
+
+ private:
+  bool all_ = false;
+  std::vector<uint8_t> seen_;
+  std::vector<uint32_t> rows_;
+};
+
 /// Redirects gradient accumulation for a fixed set of *leaf* nodes (the
 /// optimizer parameters) into buffers private to one shard of a
 /// minibatch, so several shards can run Backward() concurrently over
@@ -42,6 +78,11 @@ struct Node {
 /// shard-private buffer for registered leaves; AddTo() then folds each
 /// shard's buffer into the real grads in whatever (fixed) order the
 /// caller chooses, making the reduction independent of thread count.
+///
+/// The shadow is row-sparse: each buffer carries the RowSet of rows its
+/// shard wrote. A Gather backward records the table rows it scatters
+/// into (GradBuf(node, rows)); any other write marks the leaf "all
+/// rows". Clear() and AddTo() touch only the recorded rows.
 ///
 /// Only leaves may be registered: a registered node must have no
 /// backward closure of its own (its gradient is only ever *written* by
@@ -57,13 +98,16 @@ class GradShadow {
 
   bool attached() const { return !leaves_.empty(); }
 
-  /// Zero-fills every private buffer (cheap re-use between steps).
+  /// Zero-fills the recorded rows of every private buffer and forgets
+  /// them (cheap re-use between steps).
   void Clear();
 
-  /// Adds every private buffer into its leaf's real grad buffer. Must
-  /// not run while any thread still has a scope on this shadow; the
-  /// call order across shadows defines the reduction order.
-  void AddTo();
+  /// Adds the recorded rows of every private buffer into its leaf's
+  /// real grad buffer and merges them into touched[i] (one RowSet per
+  /// leaf, in Attach order). Must not run while any thread still has a
+  /// scope on this shadow; the call order across shadows defines the
+  /// reduction order.
+  void AddTo(std::vector<RowSet>& touched);
 
   /// While alive, Backward() on the constructing thread accumulates
   /// registered leaves' gradients into this shadow instead of the
@@ -81,10 +125,11 @@ class GradShadow {
   };
 
  private:
-  friend float* GradBuf(Node& node);
+  friend float* GradBuf(Node& node, const std::vector<int32_t>* rows);
 
   std::vector<std::shared_ptr<Node>> leaves_;
   std::vector<AlignedVector<float>> buffers_;
+  std::vector<RowSet> rows_;
   std::unordered_map<const Node*, size_t> index_;
 };
 
@@ -92,8 +137,10 @@ class GradShadow {
 /// the active shadow's private buffer when a GradShadow::ThreadScope is
 /// installed and `node` is registered with it, otherwise the node's own
 /// grad buffer. Every backward closure obtains its parents' (and its
-/// own) grad pointers through this helper.
-float* GradBuf(Node& node);
+/// own) grad pointers through this helper. `rows`, when given, promises
+/// that the caller writes only those rows of `node` and records them in
+/// the shadow; without it a shadowed leaf is marked "all rows".
+float* GradBuf(Node& node, const std::vector<int32_t>* rows = nullptr);
 
 }  // namespace internal
 

@@ -58,32 +58,39 @@ Router::~Router() {
   }
 }
 
-std::future<ScoreResponse> Router::Rejected(std::string why) {
+std::future<ScoreResponse> Router::Rejected(Status status) {
   std::promise<ScoreResponse> promise;
   ScoreResponse response;
-  response.status = Status::Unavailable(std::move(why));
+  response.status = std::move(status);
   promise.set_value(std::move(response));
   return promise.get_future();
 }
 
-std::future<RecommendResponse> Router::RejectedRecommend(std::string why) {
+std::future<RecommendResponse> Router::RejectedRecommend(Status status) {
   std::promise<RecommendResponse> promise;
   RecommendResponse response;
-  response.status = Status::Unavailable(std::move(why));
+  response.status = std::move(status);
   promise.set_value(std::move(response));
   return promise.get_future();
+}
+
+Status Router::AdmitLocked(int32_t user, std::span<const int32_t> items) {
+  Status status = Status::OK();
+  if (stopping_) {
+    status = Status::Unavailable("router is stopping");
+  } else if (pending_.size() >= config_.max_queue) {
+    status = Status::Unavailable("admission queue full");
+  } else {
+    status = current_->CheckIds(user, items);
+  }
+  if (!status.ok()) ++stats_.rejected;
+  return status;
 }
 
 std::future<ScoreResponse> Router::Submit(ScoreRequest request) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_) {
-    ++stats_.rejected;
-    return Rejected("router is stopping");
-  }
-  if (pending_.size() >= config_.max_queue) {
-    ++stats_.rejected;
-    return Rejected("admission queue full");
-  }
+  Status admitted = AdmitLocked(request.user, request.items);
+  if (!admitted.ok()) return Rejected(std::move(admitted));
   Pending pending;
   pending.user = request.user;
   pending.items = std::move(request.items);
@@ -105,14 +112,9 @@ ScoreResponse Router::ScoreSync(ScoreRequest request) {
 std::future<RecommendResponse> Router::SubmitRecommend(
     RecommendRequest request) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_) {
-    ++stats_.rejected;
-    return RejectedRecommend("router is stopping");
-  }
-  if (pending_.size() >= config_.max_queue) {
-    ++stats_.rejected;
-    return RejectedRecommend("admission queue full");
-  }
+  // The exclusion list tolerates any ids; only the user is checked.
+  Status admitted = AdmitLocked(request.user, {});
+  if (!admitted.ok()) return RejectedRecommend(std::move(admitted));
   Pending pending;
   pending.kind = Pending::Kind::kRecommend;
   pending.user = request.user;
@@ -221,10 +223,12 @@ void Router::ServeGroup(const std::shared_ptr<const ServeHandle>& handle,
   // One batched ScoreItems call per user group: the contract
   // ScoreItems(u, I)[i] == Score(u, I[i]) (bitwise) makes splitting the
   // concatenated result exactly equal to per-request calls.
+  // Ids were checked at admission against the then-current handle; the
+  // checked call re-checks them against the generation that serves.
   Status status = Status::OK();
   std::vector<float> scores;
   try {
-    scores = handle->ScoreItems(group.front().user, merged);
+    status = handle->ScoreItems(group.front().user, merged, &scores);
   } catch (const std::exception& e) {
     status = Status::Internal(std::string("serve failure: ") + e.what());
   } catch (...) {
@@ -268,10 +272,12 @@ void Router::ServeGroup(const std::shared_ptr<const ServeHandle>& handle,
 
 void Router::ServeRecommend(const std::shared_ptr<const ServeHandle>& handle,
                             Pending pending) {
-  Status status = Status::OK();
+  Status status = handle->CheckIds(pending.user);
   std::vector<std::pair<int32_t, float>> items;
   try {
-    items = handle->Recommend(pending.user, pending.k, pending.items);
+    if (status.ok()) {
+      items = handle->Recommend(pending.user, pending.k, pending.items);
+    }
   } catch (const std::exception& e) {
     status = Status::Internal(std::string("serve failure: ") + e.what());
   } catch (...) {

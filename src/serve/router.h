@@ -8,6 +8,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -84,7 +85,8 @@ struct RecommendResponse {
 /// Counters exposed for tests and benches; a snapshot, not a sync point.
 struct RouterStats {
   uint64_t accepted = 0;   ///< requests admitted to the queue
-  uint64_t rejected = 0;   ///< requests refused (queue full / stopping)
+  uint64_t rejected = 0;   ///< requests refused (queue full / stopping /
+                           ///< ids outside the served world)
   uint64_t responses = 0;  ///< promises fulfilled by worker tasks
   uint64_t batches = 0;    ///< dispatched groups (per-user score batches
                            ///< plus singleton recommend dispatches)
@@ -130,10 +132,11 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Admits a request (or rejects it with an immediately-ready
-  /// Unavailable response when the queue is full or the router is
-  /// stopping). Every returned future is eventually fulfilled exactly
-  /// once — responses are never lost or duplicated.
+  /// Admits a request, or rejects it with an immediately-ready response:
+  /// Unavailable when the queue is full or the router is stopping,
+  /// InvalidArgument when the user or an item lies outside the serving
+  /// handle's world. Every returned future is eventually fulfilled
+  /// exactly once — responses are never lost or duplicated.
   std::future<ScoreResponse> Submit(ScoreRequest request);
 
   /// Convenience: Submit + wait.
@@ -142,7 +145,8 @@ class Router {
   /// Admits a top-k request through the same bounded queue, drain leases
   /// and generation stamping as Submit(). Recommend requests ride the
   /// drain but are never coalesced — each carries its own k and
-  /// exclusion list, so each dispatches as its own pool task.
+  /// exclusion list, so each dispatches as its own pool task. The user
+  /// is range-checked like Submit()'s; the exclusion list is not.
   std::future<RecommendResponse> SubmitRecommend(RecommendRequest request);
 
   /// Convenience: SubmitRecommend + wait.
@@ -220,8 +224,13 @@ class Router {
   /// Releases one drain lease on `handle` and wakes Swap's drain wait.
   void ReleaseLease(const ServeHandle* handle);
 
-  static std::future<ScoreResponse> Rejected(std::string why);
-  static std::future<RecommendResponse> RejectedRecommend(std::string why);
+  /// Admission control under mutex_: Unavailable when stopping or the
+  /// queue is full, InvalidArgument when the ids fall outside the current
+  /// handle's world (ServeHandle::CheckIds); counts every refusal.
+  Status AdmitLocked(int32_t user, std::span<const int32_t> items);
+
+  static std::future<ScoreResponse> Rejected(Status status);
+  static std::future<RecommendResponse> RejectedRecommend(Status status);
 
   const RouterConfig config_;
 

@@ -11,6 +11,7 @@ ServeHandle::ServeHandle(std::unique_ptr<const Recommender> model,
                          const RecContext& context, uint64_t generation)
     : model_(std::move(model)),
       model_name_(model_->name()),
+      num_users_(context.train != nullptr ? context.train->num_users() : 0),
       num_items_(context.train != nullptr ? context.train->num_items() : 0),
       generation_(generation) {}
 
@@ -133,17 +134,52 @@ Status ServeHandle::Adopt(std::unique_ptr<const Recommender> model,
   return Status::OK();
 }
 
+Status ServeHandle::CheckIds(int32_t user,
+                             std::span<const int32_t> items) const {
+  if (user < 0 || user >= num_users_) {
+    return Status::InvalidArgument(
+        "user " + std::to_string(user) + " outside [0, " +
+        std::to_string(num_users_) + ") of handle '" + model_name_ + "'");
+  }
+  for (int32_t item : items) {
+    if (item < 0 || item >= num_items_) {
+      return Status::InvalidArgument(
+          "item " + std::to_string(item) + " outside [0, " +
+          std::to_string(num_items_) + ") of handle '" + model_name_ + "'");
+    }
+  }
+  return Status::OK();
+}
+
 float ServeHandle::Score(int32_t user, int32_t item) const {
+  const int32_t items[] = {item};
+  KGREC_CHECK(CheckIds(user, items).ok());
   return model_->Score(user, item);
+}
+
+Status ServeHandle::Score(int32_t user, int32_t item, float* out) const {
+  const int32_t items[] = {item};
+  KGREC_RETURN_IF_ERROR(CheckIds(user, items));
+  *out = model_->Score(user, item);
+  return Status::OK();
 }
 
 std::vector<float> ServeHandle::ScoreItems(
     int32_t user, std::span<const int32_t> items) const {
+  KGREC_CHECK(CheckIds(user, items).ok());
   return model_->ScoreItems(user, items);
+}
+
+Status ServeHandle::ScoreItems(int32_t user, std::span<const int32_t> items,
+                               std::vector<float>* out) const {
+  KGREC_RETURN_IF_ERROR(CheckIds(user, items));
+  *out = model_->ScoreItems(user, items);
+  return Status::OK();
 }
 
 std::vector<std::pair<int32_t, float>> ServeHandle::Recommend(
     int32_t user, size_t k, std::span<const int32_t> exclude) const {
+  KGREC_CHECK(CheckIds(user).ok());
   const std::vector<int32_t> sorted_exclude =
       retrieval::SanitizeExclude(exclude, num_items_);
 

@@ -113,15 +113,34 @@ class ServeHandle {
 
   const std::string& model_name() const { return model_name_; }
   uint64_t generation() const { return generation_; }
+  /// The handle's world: the users and items of the context's training
+  /// set (0 when the context has none, which makes every id invalid).
+  int32_t num_users() const { return num_users_; }
   int32_t num_items() const { return num_items_; }
 
-  /// f(u, v) — forwards to the model's const Score().
+  /// OK when `user` is in [0, num_users()) and every entry of `items` in
+  /// [0, num_items()); InvalidArgument naming the first offender
+  /// otherwise. Models do not range-check, so ids from outside the
+  /// process must pass this before they reach one.
+  Status CheckIds(int32_t user, std::span<const int32_t> items = {}) const;
+
+  /// f(u, v) — forwards to the model's const Score(). The ids must pass
+  /// CheckIds(); a violation aborts instead of reading out of bounds.
   float Score(int32_t user, int32_t item) const;
+
+  /// Checked form for untrusted ids: InvalidArgument (and `*out`
+  /// untouched) when CheckIds() fails, else `*out = Score(user, item)`.
+  Status Score(int32_t user, int32_t item, float* out) const;
 
   /// Batched candidate scoring — forwards to the model's const
   /// ScoreItems(), inheriting its bitwise-equality contract with Score().
+  /// Same CheckIds() precondition as Score().
   std::vector<float> ScoreItems(int32_t user,
                                 std::span<const int32_t> items) const;
+
+  /// Checked form for untrusted ids, as Score(user, item, out).
+  Status ScoreItems(int32_t user, std::span<const int32_t> items,
+                    std::vector<float>* out) const;
 
   /// Catalog top-k: (item, score) pairs, best-first under the library
   /// ranking order (math/topk.h RankBetter: higher score first, NaN last,
@@ -134,7 +153,7 @@ class ServeHandle {
   /// Which machinery answers is fixed at construction (RetrievalSpec);
   /// every mode except kIvf returns the model's exact top-k, and the
   /// index modes return it without materializing a catalog-sized score
-  /// vector per request.
+  /// vector per request. `user` must pass CheckIds().
   std::vector<std::pair<int32_t, float>> Recommend(
       int32_t user, size_t k, std::span<const int32_t> exclude = {}) const;
 
@@ -162,6 +181,7 @@ class ServeHandle {
 
   std::unique_ptr<const Recommender> model_;
   std::string model_name_;
+  int32_t num_users_ = 0;
   int32_t num_items_ = 0;
   uint64_t generation_ = 0;
 

@@ -328,6 +328,57 @@ TEST(ServeRouter, FailedSwapKeepsOldHandleServing) {
   EXPECT_EQ(response.scores, fitted->ScoreItems(1, items));
 }
 
+// Regression: ids from outside the process used to reach the model
+// unchecked — ScoreSync({user = 5000}) on an MF handle read past the user
+// table inside kernels::Dot on a pool worker and killed the process.
+TEST(ServeRouter, OutOfRangeIdsAreRejectedAtAdmission) {
+  std::unique_ptr<Recommender> fitted;
+  std::shared_ptr<const ServeHandle> handle = FitSaveOpen("MF", 1, &fitted);
+  const int32_t users = handle->num_users();
+  const int32_t items = handle->num_items();
+  ASSERT_GT(users, 0);
+  ASSERT_GT(items, 0);
+  Router router({}, handle);
+
+  const std::vector<ScoreRequest> bad = {
+      {5000, {1}}, {-1, {1}},      {users, {1}},
+      {1, {items}}, {1, {2, -7}}, {1, {2, 1 << 30}}};
+  for (const ScoreRequest& request : bad) {
+    ScoreResponse response = router.ScoreSync(request);
+    EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
+        << response.status.ToString();
+    EXPECT_TRUE(response.scores.empty());
+  }
+  for (int32_t user : {5000, -1, users}) {
+    EXPECT_EQ(router.RecommendSync({user, 5, {}}).status.code(),
+              StatusCode::kInvalidArgument)
+        << "user " << user;
+  }
+  // Out-of-range exclusions stay tolerated.
+  EXPECT_TRUE(router.RecommendSync({1, 5, {items + 3, -2}}).status.ok());
+
+  // Refusals are counted, and the router keeps serving valid ids.
+  const std::vector<int32_t> edge{0, items - 1};
+  ScoreResponse good = router.ScoreSync({users - 1, edge});
+  ASSERT_TRUE(good.status.ok()) << good.status.ToString();
+  EXPECT_EQ(good.scores, fitted->ScoreItems(users - 1, edge));
+  const RouterStats stats = router.Stats();
+  EXPECT_EQ(stats.rejected, bad.size() + 3);
+  EXPECT_EQ(stats.accepted, 2u);
+
+  // The handle's checked entry points refuse the same ids.
+  float score = 0.0f;
+  EXPECT_EQ(handle->Score(5000, 1, &score).code(),
+            StatusCode::kInvalidArgument);
+  std::vector<float> scores;
+  EXPECT_EQ(handle->ScoreItems(1, std::vector<int32_t>{3, items}, &scores)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(scores.empty());
+  ASSERT_TRUE(handle->Score(2, 3, &score).ok());
+  EXPECT_EQ(score, fitted->Score(2, 3));
+}
+
 // ---- Router: admission control and lifecycle --------------------------
 
 /// A stub whose first ScoreItems call parks on `release` after signalling

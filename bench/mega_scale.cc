@@ -215,22 +215,22 @@ MfRecommender FitMf(const MegaWorld& world, const MfConfig& config) {
 /// index's top-K bitwise equal to the float32 index's (*sq8_ok).
 bool SameModel(const MfRecommender& a, const MfRecommender& b,
                int32_t num_users, int32_t num_items, bool* sq8_ok) {
-  const kgrec::retrieval::ItemFactors fa = a.ExportItemFactors();
-  const kgrec::retrieval::ItemFactors fb = b.ExportItemFactors();
-  if (!BitwiseEqual({fa.items.data(), fa.items.size()},
-                    {fb.items.data(), fb.items.size()})) {
+  const kgrec::RowsView fa = a.item_factors().items;
+  const kgrec::RowsView fb = b.item_factors().items;
+  if (!BitwiseEqual({fa.data, fa.rows * fa.dim},
+                    {fb.data, fb.rows * fb.dim})) {
     std::fprintf(stderr, "FAIL model: item factors diverge\n");
     return false;
   }
   std::vector<int32_t> all_items(num_items);
   for (int32_t j = 0; j < num_items; ++j) all_items[j] = j;
   const int32_t user_step = std::max(1, num_users / 64);
-  BruteForceIndex index_a(a.ExportItemFactors());
-  BruteForceIndex index_b(b.ExportItemFactors());
-  BruteForceIndex sq8_a(a.ExportItemFactors(), Sq8Spec());
+  BruteForceIndex index_a(a.item_factors());
+  BruteForceIndex index_b(b.item_factors());
+  BruteForceIndex sq8_a(a.item_factors(), Sq8Spec());
   IvfConfig ivf_config;
-  IvfIndex ivf_a(a.ExportItemFactors(), ivf_config);
-  IvfIndex ivf_b(b.ExportItemFactors(), ivf_config);
+  IvfIndex ivf_a(a.item_factors(), ivf_config);
+  IvfIndex ivf_b(b.item_factors(), ivf_config);
   *sq8_ok = true;
   std::vector<float> qa(a.factor_dim()), qb(b.factor_dim());
   for (int32_t u = 0; u < num_users; u += user_step) {
@@ -375,19 +375,19 @@ int RunFull() {
   traj.Stage("brute_index_build",
              SubstrateBytes(world.kg, world.interactions), [&] {
                brute = std::make_unique<BruteForceIndex>(
-                   model.ExportItemFactors());
+                   model.item_factors());
              });
   std::unique_ptr<IvfIndex> ivf;
   traj.Stage("ivf_index_build",
              SubstrateBytes(world.kg, world.interactions), [&] {
-               ivf = std::make_unique<IvfIndex>(model.ExportItemFactors(),
+               ivf = std::make_unique<IvfIndex>(model.item_factors(),
                                                 IvfConfig{});
              });
   std::unique_ptr<BruteForceIndex> sq8;
   traj.Stage("sq8_index_build",
              SubstrateBytes(world.kg, world.interactions), [&] {
                sq8 = std::make_unique<BruteForceIndex>(
-                   model.ExportItemFactors(), Sq8Spec());
+                   model.item_factors(), Sq8Spec());
              });
 
   // The 4x-smaller-factors claim, measured at catalog scale: bytes the

@@ -195,9 +195,10 @@ int RunSmoke() {
   const kgrec::RecContext live_ctx = MakeContext(live_train, live_kg, live_uig);
 
   // Gate 2: per updatable model, fit -> update must serve bitwise the
-  // same scores as fit -> save -> load -> update. The two halves of the
-  // stream arrive as separate batches so batch-partition independence is
-  // exercised too.
+  // same scores as fit -> save -> load -> update, both sides folding the
+  // same two batches. That is the contract: bitwise for one partition
+  // across a checkpoint round-trip. Folds are not partition-invariant
+  // (MF/BPR-MF draw fold negatives from the post-batch world).
   const std::string ckpt =
       "/tmp/kgrec_online_" + std::to_string(static_cast<long>(getpid())) +
       ".kgrc";

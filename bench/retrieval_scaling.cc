@@ -206,8 +206,8 @@ bool RunModelGate(const kgrec::bench::Workbench& bench, bool* sq8_ok,
     std::unique_ptr<kgrec::Recommender> model = kgrec::MakeRecommender(name);
     model->Fit(ctx);
     const kgrec::DotProductFactors* factors = kgrec::AsFactorizable(*model);
-    BruteForceIndex index(factors->ExportItemFactors());
-    BruteForceIndex sq8_index(factors->ExportItemFactors(), Sq8Spec());
+    BruteForceIndex index(factors->item_factors());
+    BruteForceIndex sq8_index(factors->item_factors(), Sq8Spec());
     const QuantizedItemFactors* quantized = sq8_index.quantized();
 
     bool bitwise = index.num_items() == static_cast<size_t>(num_items);
@@ -306,12 +306,10 @@ SweepGate RunSweep(const std::vector<size_t>& catalog_sizes,
     for (size_t i = 0; i < centers.size(); ++i) {
       centers.data()[i] = static_cast<float>(rng.Normal());
     }
-    ItemFactors factors;
-    factors.kernel = ScoreKernel::kDot;
-    factors.items = kgrec::Matrix(n, kDim);
+    kgrec::Matrix items(n, kDim);
     for (size_t i = 0; i < n; ++i) {
       const float* center = centers.Row(rng.UniformInt(gen_clusters));
-      float* row = factors.items.Row(i);
+      float* row = items.Row(i);
       for (size_t c = 0; c < kDim; ++c) {
         row[c] = center[c] + 0.15f * static_cast<float>(rng.Normal());
       }
@@ -321,10 +319,9 @@ SweepGate RunSweep(const std::vector<size_t>& catalog_sizes,
       queries.data()[i] = static_cast<float>(rng.Normal());
     }
 
-    ItemFactors exact_copy;
-    exact_copy.kernel = factors.kernel;
-    exact_copy.items = factors.items;
-    BruteForceIndex exact(std::move(exact_copy));
+    // Every index below borrows `items`, which outlives them all.
+    const ItemFactors factors{ScoreKernel::kDot, items.View()};
+    BruteForceIndex exact(factors);
     std::vector<std::vector<std::pair<int32_t, float>>> exact_results;
     const QueryTiming exact_timing =
         TimeQueries(exact, queries, kK, &exact_results);
@@ -346,10 +343,7 @@ SweepGate RunSweep(const std::vector<size_t>& catalog_sizes,
     // the pool has *before* the re-rank is reported so the over-fetch
     // margin is visible, not assumed.
     {
-      ItemFactors sq8_copy;
-      sq8_copy.kernel = factors.kernel;
-      sq8_copy.items = factors.items;
-      BruteForceIndex sq8(std::move(sq8_copy), Sq8Spec());
+      BruteForceIndex sq8(factors, Sq8Spec());
       const QuantizedItemFactors* quantized = sq8.quantized();
       std::vector<std::vector<std::pair<int32_t, float>>> sq8_results;
       const QueryTiming sq8_timing =
@@ -407,14 +401,7 @@ SweepGate RunSweep(const std::vector<size_t>& catalog_sizes,
     }
 
     IvfConfig base;  // num_clusters = 0 -> ceil(sqrt(n))
-    IvfIndex probe_of_default(
-        [&] {
-          ItemFactors copy;
-          copy.kernel = factors.kernel;
-          copy.items = factors.items;
-          return copy;
-        }(),
-        base);
+    IvfIndex probe_of_default(factors, base);
     const size_t num_clusters = probe_of_default.num_clusters();
 
     std::vector<size_t> probe_counts =
@@ -425,10 +412,7 @@ SweepGate RunSweep(const std::vector<size_t>& catalog_sizes,
       if (probes > num_clusters) continue;
       IvfConfig config = base;
       config.num_probes = probes;
-      ItemFactors copy;
-      copy.kernel = factors.kernel;
-      copy.items = factors.items;
-      IvfIndex ivf(std::move(copy), config);
+      IvfIndex ivf(factors, config);
 
       std::vector<std::vector<std::pair<int32_t, float>>> ivf_results;
       const QueryTiming timing = TimeQueries(ivf, queries, kK, &ivf_results);

@@ -8,7 +8,6 @@
 #include "core/model_state.h"
 #include "data/event_stream.h"
 #include "math/dense.h"
-#include "math/kernels.h"
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
@@ -68,37 +67,6 @@ void MfRecommender::Fit(const RecContext& context) {
       optimizer.Step();
     }
   }
-}
-
-float MfRecommender::Score(int32_t user, int32_t item) const {
-  return dense::Dot(user_emb_.data() + user * config_.dim,
-                    item_emb_.data() + item * config_.dim, config_.dim);
-}
-
-std::vector<float> MfRecommender::ScoreItems(
-    int32_t user, std::span<const int32_t> items) const {
-  const size_t d = config_.dim;
-  const float* u = user_emb_.data() + user * d;
-  std::vector<const float*> rows(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    rows[i] = item_emb_.data() + items[i] * d;
-  }
-  std::vector<float> out(items.size());
-  kernels::DotBatch(u, rows.data(), rows.size(), d, out.data());
-  return out;
-}
-
-retrieval::ItemFactors MfRecommender::ExportItemFactors() const {
-  retrieval::ItemFactors factors;
-  factors.kernel = factor_kernel();
-  factors.items = Matrix(item_emb_.rows(), item_emb_.cols());
-  std::copy_n(item_emb_.data(), factors.items.size(), factors.items.data());
-  return factors;
-}
-
-void MfRecommender::FillUserQuery(int32_t user, std::span<float> out) const {
-  KGREC_CHECK_EQ(out.size(), config_.dim);
-  std::copy_n(user_emb_.data() + user * config_.dim, config_.dim, out.data());
 }
 
 std::string MfRecommender::HyperFingerprint() const {

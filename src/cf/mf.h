@@ -21,13 +21,12 @@ struct MfConfig {
 /// Pointwise matrix factorization (the model-based CF latent factor model
 /// of survey Section 2.2): y_hat = u . v, trained with binary
 /// cross-entropy on observed pairs vs sampled negatives.
-class MfRecommender : public Recommender, public DotProductFactors {
+class MfRecommender : public DotProductFactors {
  public:
   explicit MfRecommender(MfConfig config = {}) : config_(config) {}
 
   std::string name() const override { return "MF"; }
   void Fit(const RecContext& context) override;
-  float Score(int32_t user, int32_t item) const override;
 
   /// Online update (DESIGN §13): grows the user table for kNewUser
   /// events (each new row drawn from a counter-keyed fork, so growing in
@@ -38,22 +37,14 @@ class MfRecommender : public Recommender, public DotProductFactors {
   Status Update(const RecContext& context, const EventBatch& batch) override;
   bool SupportsUpdate() const override { return true; }
 
-  /// Batched fast path through kernels::DotBatch; bitwise equal to
-  /// Score() since both follow the shared fixed-block dot contract.
-  /// Inherited by BPR-MF, which shares the factor layout.
-  std::vector<float> ScoreItems(int32_t user,
-                                std::span<const int32_t> items) const override;
-
   std::string HyperFingerprint() const override;
 
-  // DotProductFactors: the score *is* the factor dot, so the export is
-  // the raw factor tables (inherited by BPR-MF).
-  size_t factor_dim() const override { return config_.dim; }
-  retrieval::ScoreKernel factor_kernel() const override {
-    return retrieval::ScoreKernel::kDot;
+  /// The score *is* the dot of the raw factor tables (inherited by
+  /// BPR-MF).
+  retrieval::FactorTable factor_table() const override {
+    return {{retrieval::ScoreKernel::kDot, item_emb_.View()},
+            user_emb_.View()};
   }
-  retrieval::ItemFactors ExportItemFactors() const override;
-  void FillUserQuery(int32_t user, std::span<float> out) const override;
 
  protected:
   /// Both factor tensors are stored; BPR-MF inherits the same layout.

@@ -43,32 +43,49 @@ Status Recommender::FinishLoad(const RecContext& /*context*/) {
   return Status::OK();
 }
 
-Status Recommender::Save(const std::string& path) const {
+Status Recommender::Pack(CheckpointHeader* header,
+                         std::vector<NamedTensor>* tensors) const {
   StatePacker packer;
   // VisitState is shared between the pack and unpack directions, so it
   // takes mutable pointers; the packing visitor only reads through them.
   KGREC_RETURN_IF_ERROR(
       const_cast<Recommender*>(this)->VisitState(&packer));
+  header->model_name = name();
+  header->fingerprint = HyperFingerprint();
+  header->format_version = kCheckpointFormatVersion;
+  *tensors = packer.TakeTensors();
+  return Status::OK();
+}
+
+Status Recommender::Save(const std::string& path) const {
   CheckpointHeader header;
-  header.model_name = name();
-  header.fingerprint = HyperFingerprint();
-  return SaveCheckpoint(path, header, packer.TakeTensors());
+  std::vector<NamedTensor> tensors;
+  KGREC_RETURN_IF_ERROR(Pack(&header, &tensors));
+  return SaveCheckpoint(path, header, tensors);
 }
 
 Status Recommender::Load(const RecContext& context, const std::string& path) {
   CheckpointHeader header;
   std::vector<NamedTensor> tensors;
   KGREC_RETURN_IF_ERROR(LoadCheckpoint(path, &header, &tensors));
+  const Status status = Restore(context, header, std::move(tensors));
+  if (status.ok()) return status;
+  return Status(status.code(), status.message() + ": " + path);
+}
+
+Status Recommender::Restore(const RecContext& context,
+                            const CheckpointHeader& header,
+                            std::vector<NamedTensor> tensors) {
   if (header.model_name != name()) {
     return Status::FailedPrecondition(
         "checkpoint was saved by model '" + header.model_name +
-        "' but is being loaded into '" + name() + "': " + path);
+        "' but is being loaded into '" + name() + "'");
   }
   if (header.fingerprint != HyperFingerprint()) {
     return Status::FailedPrecondition(
         "hyper-parameter fingerprint mismatch for '" + name() +
         "': checkpoint has [" + header.fingerprint + "], this instance has [" +
-        HyperFingerprint() + "]: " + path);
+        HyperFingerprint() + "]");
   }
   KGREC_RETURN_IF_ERROR(PrepareLoad(context));
   StateUnpacker unpacker(std::move(tensors));

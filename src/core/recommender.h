@@ -14,7 +14,9 @@
 namespace kgrec {
 
 class StateVisitor;
-struct EventBatch;  // data/event_stream.h
+struct CheckpointHeader;  // core/serialize.h
+struct NamedTensor;       // core/serialize.h
+struct EventBatch;        // data/event_stream.h
 
 /// Everything a model may consume at training time. Models use the
 /// subset they need: CF baselines read only `train`; embedding-based
@@ -85,6 +87,11 @@ class Recommender {
   /// existing good checkpoint. Must be called after Fit().
   Status Save(const std::string& path) const;
 
+  /// What Save() writes, in memory: the checkpoint header (model name,
+  /// format version, fingerprint) and the packed learned state.
+  Status Pack(CheckpointHeader* header,
+              std::vector<NamedTensor>* tensors) const;
+
   /// Restores a model saved by Save() into this un-fitted instance. The
   /// context must describe the same dataset the model was trained on:
   /// derived state that is deterministically rebuildable (ripple sets,
@@ -93,8 +100,16 @@ class Recommender {
   /// ScoreItems() output is bitwise identical to the fitted one's
   /// (enforced zoo-wide by bench/checkpoint_roundtrip and
   /// registry_smoke_test). Refuses checkpoints whose model name, format
-  /// version or hyper-parameter fingerprint do not match.
+  /// version or hyper-parameter fingerprint do not match. Reads the file,
+  /// then Restore()s from it; failures name `path`.
   Status Load(const RecContext& context, const std::string& path);
+
+  /// The in-memory half of Load(): refuses a header whose model name or
+  /// fingerprint differs from this instance's (FailedPrecondition), then
+  /// PrepareLoad → unpack `tensors` (every entry must be consumed) →
+  /// FinishLoad. Shared by Load() and CloneModel() (core/registry.h).
+  Status Restore(const RecContext& context, const CheckpointHeader& header,
+                 std::vector<NamedTensor> tensors);
 
   /// Deterministic "key=value;..." rendering of the hyper-parameters,
   /// stored in the checkpoint header and compared on Load so a

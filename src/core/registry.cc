@@ -238,6 +238,21 @@ Status LoadModel(const RecContext& context, const std::string& path,
   return Status::OK();
 }
 
+Status CloneModel(const RecContext& context, const Recommender& model,
+                  std::unique_ptr<Recommender>* out) {
+  std::unique_ptr<Recommender> clone = MakeRecommender(model.name());
+  if (clone == nullptr) {
+    return Status::InvalidArgument("cannot clone unknown model '" +
+                                   model.name() + "'");
+  }
+  CheckpointHeader header;
+  std::vector<NamedTensor> tensors;
+  KGREC_RETURN_IF_ERROR(model.Pack(&header, &tensors));
+  KGREC_RETURN_IF_ERROR(clone->Restore(context, header, std::move(tensors)));
+  *out = std::move(clone);
+  return Status::OK();
+}
+
 std::vector<std::string> ImplementedMethodNames() {
   std::vector<std::string> out;
   for (const MethodInfo& info : AllMethods()) {

@@ -58,6 +58,16 @@ std::vector<std::string> ImplementedMethodNames();
 Status LoadModel(const RecContext& context, const std::string& path,
                  std::unique_ptr<Recommender>* out);
 
+/// An independent copy of a fitted `model`, made in memory: packs its
+/// state as Save() would and restores it into MakeRecommender(
+/// model.name()) against `context` (the dataset the model was trained
+/// on), with LoadModel()'s refusals — InvalidArgument for a name the
+/// registry cannot build, FailedPrecondition when the registry default's
+/// fingerprint differs from the model's (non-default hyper-parameters).
+/// The copy scores bitwise like a Save → LoadModel round-trip.
+Status CloneModel(const RecContext& context, const Recommender& model,
+                  std::unique_ptr<Recommender>* out);
+
 const char* UsageTypeName(UsageType usage);
 
 /// The model's embedding-export surface if it has one, else nullptr.

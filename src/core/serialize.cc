@@ -54,6 +54,16 @@ Status WriteTensorSection(std::FILE* f, const std::string& path,
   return Status::OK();
 }
 
+/// Bytes between the read position and the end of the file; 0 when the
+/// stream cannot seek.
+uint64_t RemainingBytes(std::FILE* f) {
+  const long pos = std::ftell(f);
+  if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) return 0;
+  const long end = std::ftell(f);
+  if (std::fseek(f, pos, SEEK_SET) != 0 || end < pos) return 0;
+  return static_cast<uint64_t>(end - pos);
+}
+
 Status ReadTensorSection(std::FILE* f, const std::string& path,
                          std::vector<NamedTensor>* tensors) {
   uint32_t count = 0;
@@ -86,6 +96,12 @@ Status ReadTensorSection(std::FILE* f, const std::string& path,
     }
     if (rows * cols > kMaxElements) {
       return Status::InvalidArgument("corrupt archive (blob too large)");
+    }
+    // A corrupt shape below the cap can still ask for gigabytes; the
+    // blob must fit in what is left of the file before it is allocated.
+    if (rows * cols > RemainingBytes(f) / sizeof(float)) {
+      return Status::IoError("truncated archive (blob larger than the "
+                             "rest of the file): " + path);
     }
     t.rows = rows;
     t.cols = cols;

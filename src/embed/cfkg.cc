@@ -148,47 +148,19 @@ void CfkgRecommender::BuildItemFactors() {
   }
 }
 
-retrieval::ScoreKernel CfkgRecommender::factor_kernel() const {
+retrieval::FactorTable CfkgRecommender::factor_table() const {
   KGREC_CHECK(model_ != nullptr);
-  return model_->retrieval_kernel();
-}
-
-retrieval::ItemFactors CfkgRecommender::ExportItemFactors() const {
-  retrieval::ItemFactors factors;
-  factors.kernel = factor_kernel();
-  factors.items = item_factors_;
-  return factors;
+  // No user data: the query is computed per user (FillUserQuery).
+  return {{model_->retrieval_kernel(), item_factors_.View()},
+          {nullptr, static_cast<size_t>(graph_->num_users), config_.dim}};
 }
 
 void CfkgRecommender::FillUserQuery(int32_t user,
                                     std::span<float> out) const {
   KGREC_CHECK_EQ(out.size(), config_.dim);
+  KGREC_CHECK(user >= 0 && user < graph_->num_users);
   model_->FillHeadQuery(graph_->UserEntity(user), graph_->interact_relation,
                         out.data());
-}
-
-float CfkgRecommender::Score(int32_t user, int32_t item) const {
-  // KGE plausibility of <user, interact, item> (higher = preferred,
-  // survey Eq. 7), computed through the fixed-relation factorization so
-  // Score, ScoreItems and index scans share one float sequence.
-  std::vector<float> query(config_.dim);
-  FillUserQuery(user, query);
-  return retrieval::KernelScore(factor_kernel(), query.data(),
-                                item_factors_.Row(item), config_.dim);
-}
-
-std::vector<float> CfkgRecommender::ScoreItems(
-    int32_t user, std::span<const int32_t> items) const {
-  std::vector<float> query(config_.dim);
-  FillUserQuery(user, query);
-  std::vector<const float*> rows(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    rows[i] = item_factors_.Row(items[i]);
-  }
-  std::vector<float> out(items.size());
-  retrieval::KernelScoreBatch(factor_kernel(), query.data(), rows.data(),
-                              rows.size(), config_.dim, out.data());
-  return out;
 }
 
 }  // namespace kgrec

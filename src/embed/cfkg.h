@@ -43,19 +43,12 @@ struct CfkgConfig {
 /// call, and the score is the backend's retrieval kernel over the two —
 /// which makes CFKG a DotProductFactors exporter whose index scans are
 /// bitwise Score().
-class CfkgRecommender : public Recommender, public DotProductFactors {
+class CfkgRecommender : public DotProductFactors {
  public:
   explicit CfkgRecommender(CfkgConfig config = {}) : config_(config) {}
 
   std::string name() const override { return "CFKG"; }
   void Fit(const RecContext& context) override;
-  float Score(int32_t user, int32_t item) const override;
-
-  /// Batched fast path: hoists the per-user query vector out of the
-  /// candidate loop and evaluates the retrieval kernel over the
-  /// materialized item factors; bitwise equal to Score().
-  std::vector<float> ScoreItems(int32_t user,
-                                std::span<const int32_t> items) const override;
 
   /// Online update (DESIGN §13): every event kind is a KG fact in the
   /// unified user-item graph, so the fold is uniform — the backend's
@@ -69,10 +62,10 @@ class CfkgRecommender : public Recommender, public DotProductFactors {
 
   std::string HyperFingerprint() const override;
 
-  // DotProductFactors (retrieval/factors.h).
-  size_t factor_dim() const override { return config_.dim; }
-  retrieval::ScoreKernel factor_kernel() const override;
-  retrieval::ItemFactors ExportItemFactors() const override;
+  /// The backend's retrieval kernel over the materialized item factors;
+  /// no stored user rows — the query is computed per user.
+  retrieval::FactorTable factor_table() const override;
+  /// The backend's FillHeadQuery of the user entity under "interact".
   void FillUserQuery(int32_t user, std::span<float> out) const override;
 
  protected:

@@ -7,7 +7,6 @@
 #include "core/check.h"
 #include "core/model_state.h"
 #include "data/event_stream.h"
-#include "math/kernels.h"
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
@@ -209,36 +208,6 @@ std::string CkeRecommender::HyperFingerprint() const {
 Status CkeRecommender::VisitState(StateVisitor* visitor) {
   KGREC_RETURN_IF_ERROR(visitor->Matrix("user_vecs", &user_vecs_));
   return visitor->Matrix("item_vecs", &item_vecs_);
-}
-
-float CkeRecommender::Score(int32_t user, int32_t item) const {
-  return dense::Dot(user_vecs_.Row(user), item_vecs_.Row(item),
-                    user_vecs_.cols());
-}
-
-std::vector<float> CkeRecommender::ScoreItems(
-    int32_t user, std::span<const int32_t> items) const {
-  const float* u = user_vecs_.Row(user);
-  std::vector<const float*> rows(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    rows[i] = item_vecs_.Row(items[i]);
-  }
-  std::vector<float> out(items.size());
-  kernels::DotBatch(u, rows.data(), rows.size(), user_vecs_.cols(),
-                    out.data());
-  return out;
-}
-
-retrieval::ItemFactors CkeRecommender::ExportItemFactors() const {
-  retrieval::ItemFactors factors;
-  factors.kernel = factor_kernel();
-  factors.items = item_vecs_;
-  return factors;
-}
-
-void CkeRecommender::FillUserQuery(int32_t user, std::span<float> out) const {
-  KGREC_CHECK_EQ(out.size(), user_vecs_.cols());
-  std::copy_n(user_vecs_.Row(user), user_vecs_.cols(), out.data());
 }
 
 }  // namespace kgrec

@@ -33,18 +33,12 @@ struct CkeConfig {
 /// the mean of the item's attribute-entity content vectors, standing in
 /// for the paper's autoencoder text/image codes (see DESIGN.md
 /// substitutions). Trained jointly: BPR pairwise loss + TransR hinge loss.
-class CkeRecommender : public Recommender, public DotProductFactors {
+class CkeRecommender : public DotProductFactors {
  public:
   explicit CkeRecommender(CkeConfig config = {}) : config_(config) {}
 
   std::string name() const override { return "CKE"; }
   void Fit(const RecContext& context) override;
-  float Score(int32_t user, int32_t item) const override;
-
-  /// Batched fast path through kernels::DotBatch; bitwise equal to
-  /// Score() since both follow the shared fixed-block dot contract.
-  std::vector<float> ScoreItems(int32_t user,
-                                std::span<const int32_t> items) const override;
 
   /// Online update (DESIGN §13): CKE serves from its cached final
   /// user/item vectors, so the fold operates directly on them — new
@@ -57,14 +51,11 @@ class CkeRecommender : public Recommender, public DotProductFactors {
 
   std::string HyperFingerprint() const override;
 
-  // DotProductFactors: the cached final user/item vectors are already
-  // the factorization Score() dots.
-  size_t factor_dim() const override { return config_.dim; }
-  retrieval::ScoreKernel factor_kernel() const override {
-    return retrieval::ScoreKernel::kDot;
+  /// The cached final user/item vectors are already the factorization.
+  retrieval::FactorTable factor_table() const override {
+    return {{retrieval::ScoreKernel::kDot, item_vecs_.View()},
+            user_vecs_.View()};
   }
-  retrieval::ItemFactors ExportItemFactors() const override;
-  void FillUserQuery(int32_t user, std::span<float> out) const override;
 
  protected:
   /// The cached final user/item vectors are the whole serving state.

@@ -48,6 +48,18 @@ float CosineSimilarity(const float* a, const float* b, size_t n);
 
 }  // namespace dense
 
+/// Non-owning, read-only view of `rows` contiguous row-major rows of
+/// `dim` floats. It borrows the storage of whoever owns the table (a
+/// Matrix, an nn::Tensor, a slice of either), so it is valid only while
+/// that owner is alive and unresized.
+struct RowsView {
+  const float* data = nullptr;
+  size_t rows = 0;
+  size_t dim = 0;
+
+  const float* Row(size_t r) const { return data + r * dim; }
+};
+
 /// Row-major owning matrix of floats. The backing store is 64-byte
 /// aligned (core/aligned.h) so whole-matrix kernel sweeps start on a
 /// cache-line boundary.
@@ -66,6 +78,7 @@ class Matrix {
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
   size_t size() const { return data_.size(); }
+  RowsView View() const { return {data_.data(), rows_, cols_}; }
 
  private:
   size_t rows_;

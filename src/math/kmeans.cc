@@ -77,11 +77,11 @@ KMeansResult KMeans(const Matrix& points, size_t k, int max_iters, Rng& rng) {
   return result;
 }
 
-KMeansResult KMeansDeterministic(const Matrix& points, size_t k,
+KMeansResult KMeansDeterministic(const RowsView& points, size_t k,
                                  int max_iters, uint64_t seed,
                                  size_t num_threads) {
-  const size_t n = points.rows();
-  const size_t d = points.cols();
+  const size_t n = points.rows;
+  const size_t d = points.dim;
   KGREC_CHECK_GT(k, 0u);
   KGREC_CHECK_GE(n, k);
   if (num_threads == 0) num_threads = 1;
@@ -98,7 +98,7 @@ KMeansResult KMeansDeterministic(const Matrix& points, size_t k,
   std::vector<double> min_dist(n, std::numeric_limits<double>::max());
   const size_t first = Rng(base.Fork(0)).UniformInt(n);
   for (size_t j = 0; j < d; ++j) {
-    result.centroids.At(0, j) = points.At(first, j);
+    result.centroids.At(0, j) = points.Row(first)[j];
   }
   for (size_t c = 1; c < k; ++c) {
     const Status status = ParallelFor(
@@ -117,7 +117,7 @@ KMeansResult KMeansDeterministic(const Matrix& points, size_t k,
     const size_t chosen =
         total > 0.0 ? pick_rng.Categorical(min_dist) : pick_rng.UniformInt(n);
     for (size_t j = 0; j < d; ++j) {
-      result.centroids.At(c, j) = points.At(chosen, j);
+      result.centroids.At(c, j) = points.Row(chosen)[j];
     }
   }
 
@@ -171,7 +171,7 @@ KMeansResult KMeansDeterministic(const Matrix& points, size_t k,
             Rng(base.Fork((static_cast<uint64_t>(iter) + 1) * k + c))
                 .UniformInt(n);
         for (size_t j = 0; j < d; ++j) {
-          result.centroids.At(c, j) = points.At(pick, j);
+          result.centroids.At(c, j) = points.Row(pick)[j];
         }
       }
     }

@@ -29,7 +29,7 @@ KMeansResult KMeans(const Matrix& points, size_t k, int max_iters, Rng& rng);
 /// assignment step is a pure per-point function of the centroids, and the
 /// centroid update accumulates in ascending point order — so the result
 /// is bitwise identical at any `num_threads >= 1`.
-KMeansResult KMeansDeterministic(const Matrix& points, size_t k,
+KMeansResult KMeansDeterministic(const RowsView& points, size_t k,
                                  int max_iters, uint64_t seed,
                                  size_t num_threads);
 

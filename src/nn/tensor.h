@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/aligned.h"
+#include "math/dense.h"
 
 namespace kgrec::nn {
 
@@ -180,6 +181,7 @@ class Tensor {
 
   float* data() { return node_->data.data(); }
   const float* data() const { return node_->data.data(); }
+  RowsView View() const { return {data(), rows(), cols()}; }
 
   /// Gradient buffer; valid after Backward() for requires_grad tensors.
   float* grad() { return node_->grad.data(); }

@@ -7,7 +7,6 @@
 #include "core/model_state.h"
 #include "graph/pathsim.h"
 #include "math/dense.h"
-#include "math/kernels.h"
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
@@ -165,39 +164,6 @@ std::string HeteCfRecommender::HyperFingerprint() const {
 Status HeteCfRecommender::VisitState(StateVisitor* visitor) {
   KGREC_RETURN_IF_ERROR(visitor->Tensor("user_emb", &user_emb_));
   return visitor->Tensor("item_emb", &item_emb_);
-}
-
-float HeteCfRecommender::Score(int32_t user, int32_t item) const {
-  const size_t d = user_emb_.cols();
-  return dense::Dot(user_emb_.data() + user * d, item_emb_.data() + item * d,
-                    d);
-}
-
-std::vector<float> HeteCfRecommender::ScoreItems(
-    int32_t user, std::span<const int32_t> items) const {
-  const size_t d = user_emb_.cols();
-  const float* u = user_emb_.data() + user * d;
-  std::vector<const float*> rows(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    rows[i] = item_emb_.data() + items[i] * d;
-  }
-  std::vector<float> out(items.size());
-  kernels::DotBatch(u, rows.data(), rows.size(), d, out.data());
-  return out;
-}
-
-retrieval::ItemFactors HeteCfRecommender::ExportItemFactors() const {
-  retrieval::ItemFactors factors;
-  factors.kernel = factor_kernel();
-  factors.items = Matrix(item_emb_.rows(), item_emb_.cols());
-  std::copy_n(item_emb_.data(), factors.items.size(), factors.items.data());
-  return factors;
-}
-
-void HeteCfRecommender::FillUserQuery(int32_t user,
-                                      std::span<float> out) const {
-  KGREC_CHECK_EQ(out.size(), config_.dim);
-  std::copy_n(user_emb_.data() + user * config_.dim, config_.dim, out.data());
 }
 
 }  // namespace kgrec

@@ -26,29 +26,20 @@ struct HeteCfConfig {
 /// (co-interaction PathSim), item-item (shared-attribute PathSim) and
 /// user-item (diffused preference) — which is why it outperforms Hete-MF
 /// (item-item only) in the survey's account.
-class HeteCfRecommender : public Recommender, public DotProductFactors {
+class HeteCfRecommender : public DotProductFactors {
  public:
   explicit HeteCfRecommender(HeteCfConfig config = {}) : config_(config) {}
 
   std::string name() const override { return "Hete-CF"; }
   void Fit(const RecContext& context) override;
-  float Score(int32_t user, int32_t item) const override;
-
-  /// Batched fast path through kernels::DotBatch; bitwise equal to
-  /// Score() since both follow the shared fixed-block dot contract.
-  std::vector<float> ScoreItems(int32_t user,
-                                std::span<const int32_t> items) const override;
 
   std::string HyperFingerprint() const override;
 
-  // DotProductFactors: the score *is* the factor dot, so the export is
-  // the raw factor tables.
-  size_t factor_dim() const override { return config_.dim; }
-  retrieval::ScoreKernel factor_kernel() const override {
-    return retrieval::ScoreKernel::kDot;
+  /// The score *is* the dot of the raw factor tables.
+  retrieval::FactorTable factor_table() const override {
+    return {{retrieval::ScoreKernel::kDot, item_emb_.View()},
+            user_emb_.View()};
   }
-  retrieval::ItemFactors ExportItemFactors() const override;
-  void FillUserQuery(int32_t user, std::span<float> out) const override;
 
  protected:
   Status VisitState(StateVisitor* visitor) override;

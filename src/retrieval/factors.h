@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "core/recommender.h"
 #include "math/dense.h"
 
 namespace kgrec {
@@ -34,13 +35,28 @@ void KernelScoreBatch(ScoreKernel kernel, const float* query,
                       const float* const* rows, size_t count, size_t dim,
                       float* out);
 
-/// A materialized item-side factorization: one row per catalog item, in
-/// item-id order. Produced by DotProductFactors::ExportItemFactors() and
-/// owned by the index built over it — the index's lifetime is therefore
-/// independent of the model's internal tensors.
+/// The item side of a factorization: the kernel plus one row per
+/// catalog item, in item-id order. A non-owning view (math/dense.h
+/// RowsView) of the model's own item table, produced by
+/// DotProductFactors::item_factors(). Lifetime rule: whoever holds one —
+/// an index built over it included — must not outlive the model it came
+/// from, nor survive a mutation of that model (Fit/Load/Update).
+/// ServeHandle declares its model before its index and TwoStageRetriever
+/// shares ownership of its candidate model, so both hold by construction.
 struct ItemFactors {
   ScoreKernel kernel = ScoreKernel::kDot;
-  Matrix items;  // [num_items, dim]
+  RowsView items;  // [num_items, dim]
+};
+
+/// A factorizable model's whole scoring surface: its ItemFactors plus
+/// the user side. Both views borrow the model's tensors (the
+/// ItemFactors lifetime rule); item_factors() is this table sliced to
+/// its base.
+struct FactorTable : ItemFactors {
+  /// [num_users, dim]. `rows` is always the number of users the model
+  /// can answer for; `data` is nullptr when the query is computed per
+  /// user, in which case the model overrides FillUserQuery.
+  RowsView users;
 };
 
 /// Sorted, deduplicated, in-range copy of an exclusion list — the
@@ -51,39 +67,52 @@ std::vector<int32_t> SanitizeExclude(std::span<const int32_t> exclude,
 
 }  // namespace retrieval
 
-/// The embedding-export surface of a factorizable recommender: a model
-/// whose score is f(u, v) = kernel(q_u, x_v) for a per-user query vector
-/// q_u and a per-item factor row x_v.
+/// A factorizable recommender: one whose score is
+/// f(u, v) = kernel(q_u, x_v) for a per-user query vector q_u and a
+/// per-item factor row x_v. A model states its factorization once, as a
+/// FactorTable; Score, ScoreItems, the exported ItemFactors and the
+/// default FillUserQuery all derive from it, so the MF/BPR-MF, CKE,
+/// CFKG/ECFKG, Hete-MF/CF and KGAT families score through one shared
+/// kernel path.
 ///
 /// Contract (locked down by retrieval_test and the retrieval_scaling
 /// smoke gate): for a fitted (or checkpoint-restored) model,
 ///
-///   KernelScore(factor_kernel(), q, X.Row(v), factor_dim())
-///     == Score(u, v)   **bitwise**,
+///   KernelScore(factor_kernel(), q, item_factors().items.Row(v),
+///               factor_dim())  ==  Score(u, v)   **bitwise**,
 ///
-/// where q is FillUserQuery(u)'s output and X is ExportItemFactors()'s
-/// matrix. This is what makes an index an exact drop-in for the
-/// exhaustive serve path: a BruteForceIndex scan over the export is
-/// bitwise `ScoreAll` + `TopKScored`.
+/// where q is FillUserQuery(u)'s output. That is what makes an index an
+/// exact drop-in for the exhaustive serve path: a BruteForceIndex scan
+/// over item_factors() is bitwise `ScoreAll` + `TopKScored`.
 ///
-/// Implemented alongside Recommender (multiple inheritance); query it
-/// through the registry helpers AsFactorizable() / IsFactorizable().
-class DotProductFactors {
+/// Query it through the registry helpers AsFactorizable() /
+/// IsFactorizable().
+class DotProductFactors : public Recommender {
  public:
-  virtual ~DotProductFactors() = default;
+  /// The model's factorization. Only valid after Fit()/Load().
+  virtual retrieval::FactorTable factor_table() const = 0;
 
-  /// Dimensionality of the exported queries and item rows.
-  virtual size_t factor_dim() const = 0;
+  /// Dimensionality of the queries and item rows.
+  size_t factor_dim() const { return factor_table().items.dim; }
 
-  /// Which kernel evaluates an exported (query, row) pair.
-  virtual retrieval::ScoreKernel factor_kernel() const = 0;
+  /// Which kernel evaluates a (query, item row) pair.
+  retrieval::ScoreKernel factor_kernel() const {
+    return factor_table().kernel;
+  }
 
-  /// Materializes the item-side factors (a copy — safe to hold after the
-  /// model is gone). Only valid after Fit()/Load().
-  virtual retrieval::ItemFactors ExportItemFactors() const = 0;
+  /// The item side of factor_table(): a view of the model's item rows,
+  /// not a copy (see the ItemFactors lifetime rule).
+  retrieval::ItemFactors item_factors() const;
 
   /// Writes user `user`'s query vector into `out` (size factor_dim()).
-  virtual void FillUserQuery(int32_t user, std::span<float> out) const = 0;
+  /// The default copies the user's row of factor_table().users; models
+  /// that compute the query (CFKG/ECFKG) override it.
+  virtual void FillUserQuery(int32_t user, std::span<float> out) const;
+
+  /// kernel(query, item row), through KernelScore / KernelScoreBatch.
+  float Score(int32_t user, int32_t item) const override;
+  std::vector<float> ScoreItems(int32_t user,
+                                std::span<const int32_t> items) const override;
 };
 
 }  // namespace kgrec

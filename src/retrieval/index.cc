@@ -57,8 +57,8 @@ const char* ScanPrecisionName(ScanPrecision precision) {
   return "?";
 }
 
-ItemIndex::ItemIndex(ItemFactors factors, const ScanSpec& scan)
-    : factors_(std::move(factors)), scan_(scan) {
+ItemIndex::ItemIndex(const ItemFactors& factors, const ScanSpec& scan)
+    : factors_(factors), scan_(scan) {
   if (scan_.precision == ScanPrecision::kSq8) {
     quantized_ = QuantizedItemFactors::Encode(factors_);
   }
@@ -235,9 +235,9 @@ void BruteForceIndex::QueryInto(
   RerankPool(query, k, scratch, out);
 }
 
-IvfIndex::IvfIndex(ItemFactors factors, const IvfConfig& config,
+IvfIndex::IvfIndex(const ItemFactors& factors, const IvfConfig& config,
                    const ScanSpec& scan)
-    : ItemIndex(std::move(factors), scan), config_(config) {
+    : ItemIndex(factors, scan), config_(config) {
   const size_t n = num_items();
   KGREC_CHECK_GT(n, 0u);
   size_t clusters = config_.num_clusters;

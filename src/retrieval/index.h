@@ -77,7 +77,11 @@ struct SearchScratch {
   std::vector<float> user_query;
 };
 
-/// A top-K retrieval structure over one ItemFactors export. Queries are
+/// A top-K retrieval structure over one ItemFactors view. The index
+/// borrows the item rows — it never copies them — so it must not outlive
+/// the model they belong to (the ItemFactors lifetime rule,
+/// retrieval/factors.h). Only the derived structures (IVF centroids and
+/// posting lists, SQ8 codes) are owned. Queries are
 /// user query vectors (DotProductFactors::FillUserQuery); results are
 /// (item, score) pairs, best-first under the library ranking order
 /// (math/topk.h RankBetter: NaN last, ties toward the smaller item id).
@@ -88,7 +92,7 @@ struct SearchScratch {
 /// number of threads may query one index concurrently.
 class ItemIndex {
  public:
-  ItemIndex(ItemFactors factors, const ScanSpec& scan);
+  ItemIndex(const ItemFactors& factors, const ScanSpec& scan);
   virtual ~ItemIndex() = default;
 
   ItemIndex(const ItemIndex&) = delete;
@@ -96,8 +100,8 @@ class ItemIndex {
 
   virtual std::string name() const = 0;
 
-  size_t num_items() const { return factors_.items.rows(); }
-  size_t dim() const { return factors_.items.cols(); }
+  size_t num_items() const { return factors_.items.rows; }
+  size_t dim() const { return factors_.items.dim; }
   ScoreKernel kernel() const { return factors_.kernel; }
   const ItemFactors& factors() const { return factors_; }
   const ScanSpec& scan() const { return scan_; }
@@ -175,8 +179,9 @@ class ItemIndex {
 /// quantized codes instead and the re-rank restores that same order.
 class BruteForceIndex : public ItemIndex {
  public:
-  explicit BruteForceIndex(ItemFactors factors, const ScanSpec& scan = {})
-      : ItemIndex(std::move(factors), scan) {}
+  explicit BruteForceIndex(const ItemFactors& factors,
+                           const ScanSpec& scan = {})
+      : ItemIndex(factors, scan) {}
 
   std::string name() const override { return "brute-force"; }
 
@@ -211,7 +216,7 @@ struct IvfConfig {
 /// the representation streamed by the per-cell scans.
 class IvfIndex : public ItemIndex {
  public:
-  IvfIndex(ItemFactors factors, const IvfConfig& config,
+  IvfIndex(const ItemFactors& factors, const IvfConfig& config,
            const ScanSpec& scan = {});
 
   std::string name() const override { return "ivf"; }

@@ -38,8 +38,8 @@ int64_t RoundHalfEvenToInt(double v) {
 }
 
 QuantizedItemFactors QuantizedItemFactors::Encode(const ItemFactors& factors) {
-  const size_t n = factors.items.rows();
-  const size_t dim = factors.items.cols();
+  const size_t n = factors.items.rows;
+  const size_t dim = factors.items.dim;
   KGREC_CHECK_LE(dim, kMaxSq8Dim);
 
   QuantizedItemFactors q;

@@ -44,7 +44,7 @@ struct Sq8Query {
   float bias = 0.0f;
 };
 
-/// SQ8 (scalar 8-bit) quantization of one ItemFactors export: per
+/// SQ8 (scalar 8-bit) quantization of one ItemFactors view: per
 /// dimension d, a uniform 256-step grid
 ///
 ///   value(code) = vmin[d] + delta[d] * code,     code in [0, 255],
@@ -99,8 +99,9 @@ struct Sq8Query {
 /// bound over every factorizable model's export.
 class QuantizedItemFactors {
  public:
-  /// Quantizes an export. Requires factors.items.cols() <= kMaxSq8Dim
-  /// (KGREC_CHECK — programmer error, not data error).
+  /// Quantizes the viewed item rows (read once; the codes are owned).
+  /// Requires factors.items.dim <= kMaxSq8Dim (KGREC_CHECK — programmer
+  /// error, not data error).
   static QuantizedItemFactors Encode(const ItemFactors& factors);
 
   size_t num_items() const { return num_items_; }

@@ -21,19 +21,17 @@ Status TwoStageRetriever::Create(
         "two-stage: candidate model '" + candidate_model->name() +
         "' does not export dot-product factors");
   }
-  ItemFactors exported = factors->ExportItemFactors();
-  if (exported.items.rows() == 0) {
+  const ItemFactors items = factors->item_factors();
+  if (items.items.rows == 0) {
     return Status::FailedPrecondition(
         "two-stage: candidate model '" + candidate_model->name() +
-        "' exported an empty item matrix (not fitted?)");
+        "' has an empty item table (not fitted?)");
   }
   std::unique_ptr<const ItemIndex> index;
   if (config.use_ivf) {
-    index = std::make_unique<IvfIndex>(std::move(exported), config.ivf,
-                                       config.scan);
+    index = std::make_unique<IvfIndex>(items, config.ivf, config.scan);
   } else {
-    index = std::make_unique<BruteForceIndex>(std::move(exported),
-                                              config.scan);
+    index = std::make_unique<BruteForceIndex>(items, config.scan);
   }
   out->reset(new TwoStageRetriever(std::move(candidate_model), factors,
                                    std::move(index), config));

@@ -32,18 +32,19 @@ struct TwoStageConfig {
 /// The two-stage retrieve-then-rerank architecture every production
 /// recommender converges on (ROADMAP; DESIGN §10): a *factorizable*
 /// candidate model (stage 1) retrieves C candidates through an index
-/// over its exported item factors, and the serving model (stage 2 — any
+/// over its item factors, and the serving model (stage 2 — any
 /// Recommender, factorizable or not: RippleNet, path RNNs, ...) re-ranks
 /// exactly those C candidates with one batched ScoreItems call. Returned
 /// scores are the *ranker's* — bitwise what the exhaustive path would
 /// have assigned those items.
 class TwoStageRetriever {
  public:
-  /// Builds the candidate index from `candidate_model`'s factor export.
+  /// Builds the candidate index over `candidate_model`'s item factors.
   /// Fails with FailedPrecondition when the model does not implement
   /// DotProductFactors. The retriever shares ownership of the candidate
-  /// model (its factors are copied into the index; the model itself is
-  /// only needed for FillUserQuery at query time).
+  /// model: the index borrows its item rows (declared after
+  /// candidate_model_, so it is destroyed first) and FillUserQuery runs
+  /// on it at query time.
   static Status Create(std::shared_ptr<const Recommender> candidate_model,
                        const TwoStageConfig& config,
                        std::unique_ptr<const TwoStageRetriever>* out);
@@ -70,7 +71,7 @@ class TwoStageRetriever {
 
   std::shared_ptr<const Recommender> candidate_model_;
   const DotProductFactors* factors_;  // view into *candidate_model_
-  std::unique_ptr<const ItemIndex> index_;
+  std::unique_ptr<const ItemIndex> index_;  // borrows *candidate_model_
   TwoStageConfig config_;
 };
 

@@ -1,9 +1,6 @@
 #include "serve/router.h"
 
-#include <unistd.h>
-
 #include <chrono>
-#include <cstdio>
 
 #include "core/check.h"
 #include "core/registry.h"
@@ -339,16 +336,19 @@ Status Router::SwapLocked(std::shared_ptr<const ServeHandle> fresh) {
 Status Router::SwapFromCheckpoint(const RecContext& context,
                                   const std::string& path) {
   std::lock_guard<std::mutex> swap_lock(swap_mutex_);
+  std::shared_ptr<const ServeHandle> live;
   uint64_t next_generation;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    live = current_;
     next_generation = current_->generation() + 1;
   }
   // The load runs without the router lock: traffic keeps flowing on the
-  // old handle for however long the checkpoint takes to restore.
+  // old handle for however long the checkpoint takes to restore. The new
+  // handle answers Recommend() the way the live one does.
   std::shared_ptr<const ServeHandle> fresh;
-  KGREC_RETURN_IF_ERROR(
-      ServeHandle::Open(context, path, next_generation, &fresh));
+  KGREC_RETURN_IF_ERROR(ServeHandle::Open(
+      context, path, next_generation, live->retrieval_spec(), &fresh));
   return SwapLocked(std::move(fresh));
 }
 
@@ -363,24 +363,16 @@ Status Router::SwapFromUpdate(const RecContext& restore_context,
     live = current_;
     next_generation = current_->generation() + 1;
   }
-  // Clone the live model through its own checkpoint round-trip, off the
-  // router lock — traffic keeps flowing on the old handle for however
-  // long the save + restore + fold takes.
-  const std::string temp_path = "/tmp/kgrec_swap_" +
-                                std::to_string(getpid()) + "_" +
-                                std::to_string(next_generation) + ".kgrc";
-  Status status = live->model().Save(temp_path);
-  if (!status.ok()) {
-    std::remove(temp_path.c_str());
-    return status;
-  }
+  // Clone the live model in memory, off the router lock — traffic keeps
+  // flowing on the old handle for however long the clone + fold takes.
   std::unique_ptr<Recommender> clone;
-  status = LoadModel(restore_context, temp_path, &clone);
-  std::remove(temp_path.c_str());
-  KGREC_RETURN_IF_ERROR(status);
+  KGREC_RETURN_IF_ERROR(CloneModel(restore_context, live->model(), &clone));
   KGREC_RETURN_IF_ERROR(clone->Update(update_context, batch));
-  return SwapLocked(ServeHandle::Adopt(std::move(clone), update_context,
-                                       next_generation));
+  std::shared_ptr<const ServeHandle> fresh;
+  KGREC_RETURN_IF_ERROR(ServeHandle::Adopt(std::move(clone), update_context,
+                                           next_generation,
+                                           live->retrieval_spec(), &fresh));
+  return SwapLocked(std::move(fresh));
 }
 
 std::shared_ptr<const ServeHandle> Router::current() const {

@@ -16,6 +16,7 @@ ServeHandle::ServeHandle(std::unique_ptr<const Recommender> model,
       generation_(generation) {}
 
 Status ServeHandle::BuildRetrieval(const RetrievalSpec& spec) {
+  spec_ = spec;
   factors_ = AsFactorizable(*model_);
   const bool sq8 = spec.scan.precision == retrieval::ScanPrecision::kSq8;
   switch (spec.mode) {
@@ -28,34 +29,27 @@ Status ServeHandle::BuildRetrieval(const RetrievalSpec& spec) {
         return Status::OK();
       }
       [[fallthrough]];
-    case RetrievalSpec::Mode::kExact: {
-      if (factors_ == nullptr) {
-        return Status::FailedPrecondition(
-            "RetrievalSpec::kExact: model '" + model_name_ +
-            "' does not export DotProductFactors");
-      }
-      auto index = std::make_unique<retrieval::BruteForceIndex>(
-          factors_->ExportItemFactors(), spec.scan);
-      if (num_items_ > 0) {
-        KGREC_CHECK_EQ(index->num_items(), static_cast<size_t>(num_items_));
-      }
-      index_ = std::move(index);
-      retrieval_mode_ = sq8 ? "exact-index+sq8" : "exact-index";
-      return Status::OK();
-    }
+    case RetrievalSpec::Mode::kExact:
     case RetrievalSpec::Mode::kIvf: {
+      const bool ivf = spec.mode == RetrievalSpec::Mode::kIvf;
       if (factors_ == nullptr) {
         return Status::FailedPrecondition(
-            "RetrievalSpec::kIvf: model '" + model_name_ +
-            "' does not export DotProductFactors");
+            std::string("RetrievalSpec::") + (ivf ? "kIvf" : "kExact") +
+            ": model '" + model_name_ + "' does not export DotProductFactors");
       }
-      auto index = std::make_unique<retrieval::IvfIndex>(
-          factors_->ExportItemFactors(), spec.ivf, spec.scan);
+      // The index borrows *model_'s item rows (declared before index_).
+      const retrieval::ItemFactors items = factors_->item_factors();
       if (num_items_ > 0) {
-        KGREC_CHECK_EQ(index->num_items(), static_cast<size_t>(num_items_));
+        KGREC_CHECK_EQ(items.items.rows, static_cast<size_t>(num_items_));
       }
-      index_ = std::move(index);
-      retrieval_mode_ = sq8 ? "ivf-index+sq8" : "ivf-index";
+      if (ivf) {
+        index_ = std::make_unique<retrieval::IvfIndex>(items, spec.ivf,
+                                                       spec.scan);
+      } else {
+        index_ = std::make_unique<retrieval::BruteForceIndex>(items, spec.scan);
+      }
+      retrieval_mode_ = std::string(ivf ? "ivf-index" : "exact-index") +
+                        (sq8 ? "+sq8" : "");
       return Status::OK();
     }
     case RetrievalSpec::Mode::kTwoStage: {
@@ -66,6 +60,22 @@ Status ServeHandle::BuildRetrieval(const RetrievalSpec& spec) {
       std::unique_ptr<const retrieval::TwoStageRetriever> two_stage;
       KGREC_RETURN_IF_ERROR(retrieval::TwoStageRetriever::Create(
           spec.candidate_model, spec.two_stage, &two_stage));
+      // The candidate model answers for every user this handle admits
+      // and retrieves only ids the served model can score. A swap into
+      // a grown world fails here, because the candidate is carried over
+      // unchanged, and the old generation keeps serving.
+      const retrieval::FactorTable candidate =
+          AsFactorizable(*spec.candidate_model)->factor_table();
+      if (candidate.users.rows < static_cast<size_t>(num_users_) ||
+          candidate.items.rows != static_cast<size_t>(num_items_)) {
+        return Status::FailedPrecondition(
+            "RetrievalSpec::kTwoStage: candidate model '" +
+            spec.candidate_model->name() + "' covers " +
+            std::to_string(candidate.users.rows) + " users x " +
+            std::to_string(candidate.items.rows) + " items; handle '" +
+            model_name_ + "' serves " + std::to_string(num_users_) + " x " +
+            std::to_string(num_items_));
+      }
       two_stage_ = std::move(two_stage);
       retrieval_mode_ =
           spec.two_stage.scan.precision == retrieval::ScanPrecision::kSq8

@@ -25,7 +25,7 @@ struct RetrievalSpec {
     kAuto,
     /// ScoreAll + streaming bounded top-K (any model).
     kExhaustive,
-    /// BruteForceIndex over the model's factor export — bitwise the
+    /// BruteForceIndex over the model's item factors — bitwise the
     /// exhaustive result; requires DotProductFactors.
     kExact,
     /// IvfIndex (approximate, sublinear); requires DotProductFactors.
@@ -38,7 +38,8 @@ struct RetrievalSpec {
   Mode mode = Mode::kAuto;
   /// IVF build knobs (kIvf).
   retrieval::IvfConfig ivf;
-  /// Stage-1 model (kTwoStage); must implement DotProductFactors.
+  /// Stage-1 model (kTwoStage); must implement DotProductFactors and
+  /// cover the handle's world (every user, exactly its items).
   std::shared_ptr<const Recommender> candidate_model;
   /// Candidate-generation knobs (kTwoStage) — including its own stage-1
   /// ScanSpec (two_stage.scan).
@@ -105,7 +106,9 @@ class ServeHandle {
 
   /// Adopt with an explicit retrieval spec. Unlike the kAuto overload
   /// above this can fail (kExact/kIvf on a non-factorizable model,
-  /// kTwoStage with a non-factorizable candidate), so it returns Status.
+  /// kTwoStage with a non-factorizable candidate, or one with fewer user
+  /// rows or another item count than `context`'s world), so it returns
+  /// Status.
   static Status Adopt(std::unique_ptr<const Recommender> model,
                       const RecContext& context, uint64_t generation,
                       const RetrievalSpec& spec,
@@ -166,6 +169,11 @@ class ServeHandle {
   /// "exact-index+sq8").
   const std::string& retrieval_mode() const { return retrieval_mode_; }
 
+  /// The spec this handle was built with; swaps rebuild the next
+  /// generation's handle with it (Router::SwapFromCheckpoint /
+  /// SwapFromUpdate).
+  const RetrievalSpec& retrieval_spec() const { return spec_; }
+
   /// The index answering Recommend(), or nullptr on the exhaustive path
   /// (for two-stage, the candidate index).
   const retrieval::ItemIndex* index() const {
@@ -179,6 +187,9 @@ class ServeHandle {
   /// Builds index_/two_stage_ per `spec`; called once before publishing.
   Status BuildRetrieval(const RetrievalSpec& spec);
 
+  /// Declared before index_: the index borrows the model's item rows
+  /// (retrieval/factors.h ItemFactors), so the model must be destroyed
+  /// after it.
   std::unique_ptr<const Recommender> model_;
   std::string model_name_;
   int32_t num_users_ = 0;
@@ -187,8 +198,10 @@ class ServeHandle {
 
   /// The model's factor surface when it has one (a view into *model_).
   const DotProductFactors* factors_ = nullptr;
+  RetrievalSpec spec_;
   /// Exactly one of these is set for the index modes; both empty on the
-  /// exhaustive path.
+  /// exhaustive path. index_ borrows *model_'s item rows; two_stage_
+  /// shares ownership of the candidate model its index borrows from.
   std::unique_ptr<const retrieval::ItemIndex> index_;
   std::unique_ptr<const retrieval::TwoStageRetriever> two_stage_;
   std::string retrieval_mode_ = "exhaustive";

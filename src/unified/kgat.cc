@@ -7,7 +7,6 @@
 #include "core/check.h"
 #include "core/model_state.h"
 #include "core/thread_pool.h"
-#include "math/kernels.h"
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
@@ -203,45 +202,23 @@ Status KgatRecommender::PrepareLoad(const RecContext& context) {
   return Status::OK();
 }
 
-float KgatRecommender::Score(int32_t user, int32_t item) const {
-  return dense::Dot(final_emb_.Row(graph_->UserEntity(user)),
-                    final_emb_.Row(graph_->ItemEntity(item)),
-                    final_emb_.cols());
-}
-
-std::vector<float> KgatRecommender::ScoreItems(
-    int32_t user, std::span<const int32_t> items) const {
-  // The shared batched-dot kernel replaces the private SSE2 block this
-  // method used to carry: every output is a fixed-block Dot of the user
-  // row against one candidate row, so it stays bitwise equal to Score(),
-  // which routes through the same kernel via dense::Dot.
-  const float* u = final_emb_.Row(graph_->UserEntity(user));
-  std::vector<const float*> rows(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    rows[i] = final_emb_.Row(graph_->ItemEntity(items[i]));
-  }
-  std::vector<float> out(items.size());
-  kernels::DotBatch(u, rows.data(), rows.size(), final_emb_.cols(),
-                    out.data());
-  return out;
-}
-
-retrieval::ItemFactors KgatRecommender::ExportItemFactors() const {
+retrieval::FactorTable KgatRecommender::factor_table() const {
   KGREC_CHECK(graph_ != nullptr);
-  retrieval::ItemFactors factors;
-  factors.kernel = factor_kernel();
-  factors.items = Matrix(graph_->num_items, final_emb_.cols());
-  for (int32_t item = 0; item < graph_->num_items; ++item) {
-    std::copy_n(final_emb_.Row(graph_->ItemEntity(item)), final_emb_.cols(),
-                factors.items.Row(item));
-  }
-  return factors;
-}
-
-void KgatRecommender::FillUserQuery(int32_t user, std::span<float> out) const {
-  KGREC_CHECK_EQ(out.size(), final_emb_.cols());
-  std::copy_n(final_emb_.Row(graph_->UserEntity(user)), final_emb_.cols(),
-              out.data());
+  const int32_t users = graph_->num_users;
+  const int32_t items = graph_->num_items;
+  // Users are entities [0, num_users) and items one consecutive run
+  // after them; only then can slices of final_emb_ stand for the tables.
+  KGREC_CHECK_EQ(graph_->UserEntity(0), 0);
+  KGREC_CHECK_EQ(graph_->ItemEntity(items - 1) - graph_->ItemEntity(0),
+                 items - 1);
+  KGREC_CHECK_LE(static_cast<size_t>(graph_->ItemEntity(0)) + items,
+                 final_emb_.rows());
+  const size_t dim = final_emb_.cols();
+  return {{retrieval::ScoreKernel::kDot,
+           {final_emb_.Row(graph_->ItemEntity(0)), static_cast<size_t>(items),
+            dim}},
+          {final_emb_.Row(graph_->UserEntity(0)), static_cast<size_t>(users),
+           dim}};
 }
 
 }  // namespace kgrec

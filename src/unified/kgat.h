@@ -38,32 +38,19 @@ struct KgatConfig {
 /// representation concatenates all layer embeddings, and preference is
 /// their inner product. A translation hinge loss on the KG triples is
 /// trained jointly.
-class KgatRecommender : public Recommender, public DotProductFactors {
+class KgatRecommender : public DotProductFactors {
  public:
   explicit KgatRecommender(KgatConfig config = {}) : config_(config) {}
 
   std::string name() const override { return "KGAT"; }
   void Fit(const RecContext& context) override;
-  float Score(int32_t user, int32_t item) const override;
-
-  /// Batched fast path: hoists the user row lookup and scores candidates
-  /// four at a time through kernels::DotBatch. Every output follows the
-  /// shared fixed-block dot contract, so scores are bitwise equal to
-  /// Score().
-  std::vector<float> ScoreItems(int32_t user,
-                                std::span<const int32_t> items) const override;
 
   std::string HyperFingerprint() const override;
 
-  // DotProductFactors: preference is the inner product of final
-  // concatenated embeddings, so the export slices the item-entity rows
-  // out of final_emb_ and the query is the user-entity row.
-  size_t factor_dim() const override { return final_emb_.cols(); }
-  retrieval::ScoreKernel factor_kernel() const override {
-    return retrieval::ScoreKernel::kDot;
-  }
-  retrieval::ItemFactors ExportItemFactors() const override;
-  void FillUserQuery(int32_t user, std::span<float> out) const override;
+  /// Preference is the inner product of final concatenated embeddings:
+  /// both views are slices of final_emb_ — the user-entity rows and the
+  /// item-entity rows, each contiguous in the user-item graph's layout.
+  retrieval::FactorTable factor_table() const override;
 
  protected:
   /// Serving only reads the final concatenated embeddings (the training

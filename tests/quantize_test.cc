@@ -27,6 +27,7 @@
 #include "math/rng.h"
 #include "retrieval/factors.h"
 #include "retrieval/quantize.h"
+#include "owned_factors.h"
 
 namespace kgrec {
 namespace {
@@ -36,20 +37,21 @@ using retrieval::QuantizedItemFactors;
 using retrieval::RoundHalfEvenToInt;
 using retrieval::ScoreKernel;
 using retrieval::Sq8Query;
+using testing_util::OwnedFactors;
 
 constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-ItemFactors MakeFactors(ScoreKernel kernel, size_t n, size_t dim) {
-  ItemFactors factors;
+OwnedFactors MakeFactors(ScoreKernel kernel, size_t n, size_t dim) {
+  OwnedFactors factors;
   factors.kernel = kernel;
   factors.items = Matrix(n, dim);
   return factors;
 }
 
-ItemFactors RandomFactors(ScoreKernel kernel, size_t n, size_t dim,
-                          uint64_t seed) {
-  ItemFactors factors = MakeFactors(kernel, n, dim);
+OwnedFactors RandomFactors(ScoreKernel kernel, size_t n, size_t dim,
+                           uint64_t seed) {
+  OwnedFactors factors = MakeFactors(kernel, n, dim);
   Rng rng(seed);
   for (size_t i = 0; i < factors.items.size(); ++i) {
     factors.items.data()[i] = static_cast<float>(rng.Normal());
@@ -96,14 +98,14 @@ TEST(QuantizeRounding, DoesNotDependOnRoundingDirectionOfRint) {
 // QuantizeEncode: grids, degenerate shapes, non-finite policy.
 
 TEST(QuantizeEncode, AllEqualDimensionHasZeroDeltaAndExactDecode) {
-  ItemFactors factors = MakeFactors(ScoreKernel::kDot, 5, 3);
+  OwnedFactors factors = MakeFactors(ScoreKernel::kDot, 5, 3);
   for (size_t i = 0; i < 5; ++i) {
     float* row = factors.items.Row(i);
     row[0] = 2.75f;                          // constant column
     row[1] = static_cast<float>(i) - 2.0f;   // spread column
     row[2] = -1.5f;                          // constant column
   }
-  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
+  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors.view());
   EXPECT_EQ(q.grid_delta()[0], 0.0f);
   EXPECT_GT(q.grid_delta()[1], 0.0f);
   EXPECT_EQ(q.grid_delta()[2], 0.0f);
@@ -120,7 +122,7 @@ TEST(QuantizeEncode, AllEqualDimensionHasZeroDeltaAndExactDecode) {
 }
 
 TEST(QuantizeEncode, NonFiniteEntriesFollowTheDocumentedPolicy) {
-  ItemFactors factors = MakeFactors(ScoreKernel::kDot, 4, 2);
+  OwnedFactors factors = MakeFactors(ScoreKernel::kDot, 4, 2);
   // Column 0: finite range [-1, 3] plus one NaN, one +inf, one -inf.
   factors.items.At(0, 0) = -1.0f;
   factors.items.At(1, 0) = kNan;
@@ -132,7 +134,7 @@ TEST(QuantizeEncode, NonFiniteEntriesFollowTheDocumentedPolicy) {
   factors.items.At(2, 1) = -kInf;
   factors.items.At(3, 1) = 0.5f;
 
-  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
+  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors.view());
   // Ranges come from the finite entries only.
   EXPECT_EQ(q.grid_min()[0], -1.0f);
   EXPECT_FLOAT_EQ(q.grid_delta()[0], 4.0f / 255.0f);
@@ -154,48 +156,49 @@ TEST(QuantizeEncode, L2GridSharesOneDeltaAcrossDimensions) {
   // kNegSquaredL2: every column uses the widest column's step (quantize.h
   // — the code-space distance must be proportional to the grid distance),
   // while vmin stays per-dimension. kDot keeps per-dim deltas.
-  ItemFactors l2 = MakeFactors(ScoreKernel::kNegSquaredL2, 3, 3);
-  ItemFactors dot = MakeFactors(ScoreKernel::kDot, 3, 3);
+  OwnedFactors l2 = MakeFactors(ScoreKernel::kNegSquaredL2, 3, 3);
+  OwnedFactors dot = MakeFactors(ScoreKernel::kDot, 3, 3);
   for (size_t i = 0; i < 3; ++i) {
     const float x = static_cast<float>(i);
-    for (ItemFactors* f : {&l2, &dot}) {
+    for (OwnedFactors* f : {&l2, &dot}) {
       f->items.At(i, 0) = x;           // range 2
       f->items.At(i, 1) = 10.0f * x;   // range 20 — the widest
       f->items.At(i, 2) = 5.0f + x;    // range 2, offset vmin
     }
   }
-  const QuantizedItemFactors ql2 = QuantizedItemFactors::Encode(l2);
+  const QuantizedItemFactors ql2 = QuantizedItemFactors::Encode(l2.view());
   const float shared = 20.0f / 255.0f;
   for (size_t d = 0; d < 3; ++d) {
     EXPECT_FLOAT_EQ(ql2.grid_delta()[d], shared) << d;
   }
   EXPECT_EQ(ql2.grid_min()[0], 0.0f);
   EXPECT_EQ(ql2.grid_min()[2], 5.0f);
-  const QuantizedItemFactors qdot = QuantizedItemFactors::Encode(dot);
+  const QuantizedItemFactors qdot = QuantizedItemFactors::Encode(dot.view());
   EXPECT_FLOAT_EQ(qdot.grid_delta()[0], 2.0f / 255.0f);
   EXPECT_FLOAT_EQ(qdot.grid_delta()[1], 20.0f / 255.0f);
 }
 
 TEST(QuantizeEncode, NonfiniteRowsAreRecordedAscending) {
-  ItemFactors factors = RandomFactors(ScoreKernel::kDot, 6, 3, 41);
+  OwnedFactors factors = RandomFactors(ScoreKernel::kDot, 6, 3, 41);
   factors.items.At(1, 2) = kNan;
   factors.items.At(4, 0) = kInf;
   factors.items.At(4, 1) = -kInf;
-  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
+  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors.view());
   const auto nonfinite = q.nonfinite_items();
   ASSERT_EQ(nonfinite.size(), 2u);
   EXPECT_EQ(nonfinite[0], 1);
   EXPECT_EQ(nonfinite[1], 4);
   const QuantizedItemFactors clean =
-      QuantizedItemFactors::Encode(RandomFactors(ScoreKernel::kDot, 6, 3, 42));
+      QuantizedItemFactors::Encode(
+          RandomFactors(ScoreKernel::kDot, 6, 3, 42).view());
   EXPECT_TRUE(clean.nonfinite_items().empty());
 }
 
 TEST(QuantizeEncode, AllNonFiniteColumnDegradesToZeroGrid) {
-  ItemFactors factors = MakeFactors(ScoreKernel::kDot, 2, 1);
+  OwnedFactors factors = MakeFactors(ScoreKernel::kDot, 2, 1);
   factors.items.At(0, 0) = kNan;
   factors.items.At(1, 0) = kInf;
-  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
+  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors.view());
   EXPECT_EQ(q.grid_min()[0], 0.0f);
   EXPECT_EQ(q.grid_delta()[0], 0.0f);
   EXPECT_EQ(q.Codes(0)[0], 0);
@@ -205,8 +208,8 @@ TEST(QuantizeEncode, AllNonFiniteColumnDegradesToZeroGrid) {
 TEST(QuantizeEncode, DegenerateShapes) {
   // dim 0: encode, decode and query-prep are all well-defined no-ops.
   {
-    const ItemFactors factors = MakeFactors(ScoreKernel::kDot, 3, 0);
-    const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
+    const OwnedFactors factors = MakeFactors(ScoreKernel::kDot, 3, 0);
+    const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors.view());
     EXPECT_EQ(q.dim(), 0u);
     EXPECT_EQ(q.code_bytes(), 0u);
     q.DecodeRow(1, {});
@@ -219,11 +222,11 @@ TEST(QuantizeEncode, DegenerateShapes) {
   }
   // dim 1.
   {
-    ItemFactors factors = MakeFactors(ScoreKernel::kDot, 3, 1);
+    OwnedFactors factors = MakeFactors(ScoreKernel::kDot, 3, 1);
     factors.items.At(0, 0) = -2.0f;
     factors.items.At(1, 0) = 0.0f;
     factors.items.At(2, 0) = 2.0f;
-    const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
+    const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors.view());
     EXPECT_EQ(q.Codes(0)[0], 0);
     EXPECT_EQ(q.Codes(2)[0], 255);
     std::vector<float> decoded(1);
@@ -232,11 +235,11 @@ TEST(QuantizeEncode, DegenerateShapes) {
   }
   // Catalog of one item: every column is zero-range, decode is exact.
   {
-    ItemFactors factors = MakeFactors(ScoreKernel::kNegSquaredL2, 1, 4);
+    OwnedFactors factors = MakeFactors(ScoreKernel::kNegSquaredL2, 1, 4);
     for (size_t d = 0; d < 4; ++d) {
       factors.items.At(0, d) = 0.25f * static_cast<float>(d) - 1.0f;
     }
-    const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
+    const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors.view());
     std::vector<float> decoded(4);
     q.DecodeRow(0, decoded);
     for (size_t d = 0; d < 4; ++d) {
@@ -275,9 +278,9 @@ void ExpectReconstructionBound(const ItemFactors& factors,
 
 TEST(QuantizeBound, HoldsForRandomFactorsBothKernels) {
   ExpectReconstructionBound(
-      RandomFactors(ScoreKernel::kDot, 200, 24, 1311), "dot");
+      RandomFactors(ScoreKernel::kDot, 200, 24, 1311).view(), "dot");
   ExpectReconstructionBound(
-      RandomFactors(ScoreKernel::kNegSquaredL2, 200, 24, 1312), "l2");
+      RandomFactors(ScoreKernel::kNegSquaredL2, 200, 24, 1312).view(), "l2");
 }
 
 TEST(QuantizeBound, HoldsForEveryFactorizableModelExport) {
@@ -302,7 +305,7 @@ TEST(QuantizeBound, HoldsForEveryFactorizableModelExport) {
     model->Fit(ctx);
     const DotProductFactors* factors = AsFactorizable(*model);
     ASSERT_NE(factors, nullptr) << name;
-    ExpectReconstructionBound(factors->ExportItemFactors(), name);
+    ExpectReconstructionBound(factors->item_factors(), name);
   }
 }
 
@@ -310,8 +313,8 @@ TEST(QuantizeBound, HoldsForEveryFactorizableModelExport) {
 // QuantizeQuery: the prepared-query decompositions.
 
 TEST(QuantizeQuery, DotApproximationStaysWithinItsAnalyticBound) {
-  const ItemFactors factors = RandomFactors(ScoreKernel::kDot, 100, 16, 77);
-  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
+  const OwnedFactors factors = RandomFactors(ScoreKernel::kDot, 100, 16, 77);
+  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors.view());
   Rng rng(78);
   std::vector<float> query(16);
   std::vector<float> decoded(16);
@@ -347,14 +350,14 @@ TEST(QuantizeQuery, HiLoSplitReassemblesTheFifteenBitWeight) {
   // to ordinary ones: a single i8 weight vector would collapse to
   // one-hot here. The hi/lo split must keep every |w[d]| >= max|w|/32512
   // at a nonzero combined weight.
-  ItemFactors factors = MakeFactors(ScoreKernel::kDot, 2, 4);
+  OwnedFactors factors = MakeFactors(ScoreKernel::kDot, 2, 4);
   factors.items.At(0, 0) = 0.0f;
   factors.items.At(1, 0) = 1000.0f;  // delta[0] ~ 3.92
   for (size_t d = 1; d < 4; ++d) {
     factors.items.At(0, d) = 0.0f;
     factors.items.At(1, d) = 1.0f;  // delta[d] ~ 0.0039
   }
-  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
+  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors.view());
   const std::vector<float> query{1.0f, 1.0f, 1.0f, 1.0f};
   Sq8Query prepared;
   q.PrepareQuery(query, &prepared);
@@ -380,9 +383,8 @@ TEST(QuantizeQuery, HiLoSplitReassemblesTheFifteenBitWeight) {
 }
 
 TEST(QuantizeQuery, L2QueryLandsOnTheItemGrid) {
-  const ItemFactors factors =
-      RandomFactors(ScoreKernel::kNegSquaredL2, 50, 8, 99);
-  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
+  const OwnedFactors factors = RandomFactors(ScoreKernel::kNegSquaredL2, 50, 8, 99);
+  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors.view());
   Sq8Query prepared;
   // A query equal to item 7's decoded row must encode to item 7's codes
   // exactly — integer distance 0 to itself.
@@ -396,8 +398,8 @@ TEST(QuantizeQuery, L2QueryLandsOnTheItemGrid) {
 }
 
 TEST(QuantizeQuery, ZeroAndNonFiniteQueriesAreSafe) {
-  const ItemFactors factors = RandomFactors(ScoreKernel::kDot, 20, 4, 55);
-  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
+  const OwnedFactors factors = RandomFactors(ScoreKernel::kDot, 20, 4, 55);
+  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors.view());
   Sq8Query prepared;
 
   const std::vector<float> zero(4, 0.0f);
@@ -421,8 +423,8 @@ TEST(QuantizeQuery, ZeroAndNonFiniteQueriesAreSafe) {
 }
 
 TEST(QuantizeQuery, CodeBytesAreAQuarterOfTheFloatMatrix) {
-  const ItemFactors factors = RandomFactors(ScoreKernel::kDot, 128, 32, 5);
-  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
+  const OwnedFactors factors = RandomFactors(ScoreKernel::kDot, 128, 32, 5);
+  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors.view());
   EXPECT_EQ(q.code_bytes(), 128u * 32u);
   EXPECT_EQ(q.code_bytes() * 4, factors.items.size() * sizeof(float));
   EXPECT_EQ(q.grid_bytes(), 2u * 32u * sizeof(float));

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -175,11 +177,23 @@ std::string CheckpointPath(const std::string& model_name) {
   return std::string(::testing::TempDir()) + "/" + file + ".kgrc";
 }
 
+/// One fit per registry model, shared by the checkpoint tests: the fit,
+/// not the save/load under test, dominates their cost (most of all in
+/// the sanitizer legs). The tests only use the model's const methods.
+const Recommender& FittedModel(const std::string& name) {
+  static auto* cache =
+      new std::map<std::string, std::unique_ptr<Recommender>>();
+  std::unique_ptr<Recommender>& slot = (*cache)[name];
+  if (slot == nullptr) {
+    slot = MakeRecommender(name);
+    slot->Fit(SharedWorld().Context());
+  }
+  return *slot;
+}
+
 TEST_P(RegistrySmoke, SaveLoadRoundtripIsBitwise) {
   TinyWorld& w = SharedWorld();
-  std::unique_ptr<Recommender> fitted = MakeRecommender(GetParam());
-  ASSERT_NE(fitted, nullptr);
-  fitted->Fit(w.Context());
+  const Recommender* fitted = &FittedModel(GetParam());
 
   const std::string path = CheckpointPath(GetParam());
   ASSERT_TRUE(fitted->Save(path).ok()) << GetParam();
@@ -206,6 +220,68 @@ TEST_P(RegistrySmoke, SaveLoadRoundtripIsBitwise) {
           << " candidate " << candidates[i];
     }
   }
+  std::remove(path.c_str());
+}
+
+std::vector<char> ReadFile(const std::string& path) {
+  std::vector<char> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buffer[4096];
+  size_t got = 0;
+  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
+    bytes.insert(bytes.end(), buffer, buffer + got);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteFile(const std::string& path, const std::vector<char>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+// Corruption sweep: seeded byte flips and truncations of every model's
+// checkpoint. Each damaged file must either load or fail with a Status —
+// never crash, read out of bounds or allocate what the file cannot
+// hold. Half the flips land in the first 256 bytes (magic, version,
+// header strings, the first entries' names and shapes), the rest
+// anywhere; the case count is fixed and small so the sanitizer legs stay
+// fast.
+TEST_P(RegistrySmoke, CheckpointCorruptionLoadsOrFails) {
+  TinyWorld& w = SharedWorld();
+  const std::string path = CheckpointPath(GetParam());
+  ASSERT_TRUE(FittedModel(GetParam()).Save(path).ok()) << GetParam();
+  const std::vector<char> good = ReadFile(path);
+  ASSERT_FALSE(good.empty()) << GetParam();
+
+  const std::string damaged_path = path + ".damaged";
+  const Rng base(4242);
+  constexpr int kFlips = 6;
+  constexpr int kTruncations = 3;
+  for (int c = 0; c < kFlips + kTruncations; ++c) {
+    Rng rng(base.Fork(static_cast<uint64_t>(c)));
+    std::vector<char> bytes = good;
+    std::string what;
+    if (c < kFlips) {
+      const size_t span =
+          c % 2 == 0 ? std::min<size_t>(bytes.size(), 256) : bytes.size();
+      const size_t at = rng.UniformInt(span);
+      const int mask = 1 + static_cast<int>(rng.UniformInt(255));
+      bytes[at] = static_cast<char>(bytes[at] ^ mask);
+      what = "flip at " + std::to_string(at);
+    } else {
+      bytes.resize(rng.UniformInt(bytes.size()));
+      what = "truncated to " + std::to_string(bytes.size());
+    }
+    WriteFile(damaged_path, bytes);
+    std::unique_ptr<Recommender> restored;
+    const Status status = LoadModel(w.Context(), damaged_path, &restored);
+    EXPECT_EQ(status.ok(), restored != nullptr) << GetParam() << " " << what;
+  }
+  std::remove(damaged_path.c_str());
   std::remove(path.c_str());
 }
 

@@ -43,9 +43,11 @@
 #include "retrieval/two_stage.h"
 #include "serve/router.h"
 #include "serve/serve_handle.h"
+#include "owned_factors.h"
 
 // ---------------------------------------------------------------------
-// Counting global operator new: the RetrievalScratch allocation pin.
+// Counting global operator new: the RetrievalScratch allocation pin and
+// the no-copy index pin (RetrievalNoCopy).
 // Replacement operators must have external linkage (outside any
 // namespace); counting is armed per thread so concurrent test machinery
 // never perturbs the count.
@@ -53,10 +55,17 @@
 namespace kgrec_test_alloc {
 thread_local bool g_counting = false;
 thread_local size_t g_count = 0;
+thread_local size_t g_largest = 0;  // biggest single request while counting
+
+void Note(std::size_t size) {
+  if (!g_counting) return;
+  ++g_count;
+  if (size > g_largest) g_largest = size;
+}
 }  // namespace kgrec_test_alloc
 
 void* operator new(std::size_t size) {
-  if (kgrec_test_alloc::g_counting) ++kgrec_test_alloc::g_count;
+  kgrec_test_alloc::Note(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -64,11 +73,32 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 // The nothrow forms (std::get_temporary_buffer, used by stable_sort)
 // must come from the same malloc as the deletes below.
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  if (kgrec_test_alloc::g_counting) ++kgrec_test_alloc::g_count;
+  kgrec_test_alloc::Note(size);
   return std::malloc(size ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
+}
+// The aligned forms back AlignedVector (Matrix, nn::Tensor): without them
+// a copied factor table would slip past the count.
+void* operator new(std::size_t size, std::align_val_t align) {
+  kgrec_test_alloc::Note(size);
+  void* p = nullptr;
+  const std::size_t alignment =
+      std::max(static_cast<std::size_t>(align), sizeof(void*));
+  if (posix_memalign(&p, alignment, size ? size : 1) == 0) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -91,6 +121,7 @@ using retrieval::TwoStageConfig;
 using retrieval::TwoStageRetriever;
 using serve::RetrievalSpec;
 using serve::ServeHandle;
+using testing_util::OwnedFactors;
 
 constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
@@ -288,9 +319,9 @@ void ExpectExportContract(Recommender& model, const std::string& name) {
   const DotProductFactors* factors = AsFactorizable(model);
   ASSERT_NE(factors, nullptr) << name;
 
-  const ItemFactors exported = factors->ExportItemFactors();
-  ASSERT_EQ(exported.items.rows(), static_cast<size_t>(num_items)) << name;
-  ASSERT_EQ(exported.items.cols(), factors->factor_dim()) << name;
+  const ItemFactors exported = factors->item_factors();
+  ASSERT_EQ(exported.items.rows, static_cast<size_t>(num_items)) << name;
+  ASSERT_EQ(exported.items.dim, factors->factor_dim()) << name;
 
   // Pointwise: kernel(query, row) must be bitwise Score().
   std::vector<float> query(factors->factor_dim());
@@ -309,7 +340,7 @@ void ExpectExportContract(Recommender& model, const std::string& name) {
 
   // Selection: the exact index must be bitwise ScoreAll + TopKScored,
   // with and without exclusions.
-  BruteForceIndex index(factors->ExportItemFactors());
+  BruteForceIndex index(factors->item_factors());
   const std::vector<int32_t> exclude_raw{3, 3, 1, num_items + 7, -2, 0};
   const std::vector<int32_t> exclude =
       retrieval::SanitizeExclude(exclude_raw, num_items);
@@ -351,15 +382,14 @@ TEST(RetrievalExport, EveryKgeBackendFactorizes) {
 // ---------------------------------------------------------------------
 // RetrievalIvf: determinism, exactness at full probe, exclusion.
 
-ItemFactors MixtureFactors(size_t n, size_t dim, uint64_t seed) {
+OwnedFactors MixtureFactors(size_t n, size_t dim, uint64_t seed) {
   Rng rng(seed);
   const size_t clusters = 8;
   Matrix centers(clusters, dim);
   for (size_t i = 0; i < centers.size(); ++i) {
     centers.data()[i] = static_cast<float>(rng.Normal());
   }
-  ItemFactors factors;
-  factors.kernel = ScoreKernel::kDot;
+  OwnedFactors factors;
   factors.items = Matrix(n, dim);
   for (size_t i = 0; i < n; ++i) {
     const float* center = centers.Row(rng.UniformInt(clusters));
@@ -371,23 +401,16 @@ ItemFactors MixtureFactors(size_t n, size_t dim, uint64_t seed) {
   return factors;
 }
 
-ItemFactors CopyFactors(const ItemFactors& factors) {
-  ItemFactors copy;
-  copy.kernel = factors.kernel;
-  copy.items = factors.items;
-  return copy;
-}
-
 TEST(RetrievalIvf, BuildIsBitwiseIdenticalAtAnyThreadCount) {
-  const ItemFactors factors = MixtureFactors(300, 8, 41);
+  const OwnedFactors factors = MixtureFactors(300, 8, 41);
   IvfConfig config;
   config.num_clusters = 12;
   config.num_probes = 3;
 
   IvfConfig threaded = config;
   threaded.num_threads = 4;
-  const IvfIndex serial(CopyFactors(factors), config);
-  const IvfIndex parallel(CopyFactors(factors), threaded);
+  const IvfIndex serial(factors.view(), config);
+  const IvfIndex parallel(factors.view(), threaded);
 
   Rng rng(7);
   std::vector<float> query(8);
@@ -399,12 +422,12 @@ TEST(RetrievalIvf, BuildIsBitwiseIdenticalAtAnyThreadCount) {
 }
 
 TEST(RetrievalIvf, FullProbeIsBitwiseBruteForce) {
-  const ItemFactors factors = MixtureFactors(250, 8, 42);
-  const BruteForceIndex exact(CopyFactors(factors));
+  const OwnedFactors factors = MixtureFactors(250, 8, 42);
+  const BruteForceIndex exact(factors.view());
   IvfConfig config;
   config.num_clusters = 10;
   config.num_probes = 10;  // probes == clusters: nothing pruned
-  const IvfIndex ivf(CopyFactors(factors), config);
+  const IvfIndex ivf(factors.view(), config);
 
   const std::vector<int32_t> exclude =
       retrieval::SanitizeExclude(std::vector<int32_t>{5, 17, 101}, 250);
@@ -422,9 +445,9 @@ TEST(RetrievalIvf, FullProbeIsBitwiseBruteForce) {
 TEST(RetrievalIvf, ReasonableRecallAtDefaultProbes) {
   // Not the CI gate (bench/retrieval_scaling --smoke gates 0.95); this
   // is a sanity floor that catches a broken probe ranking outright.
-  const ItemFactors factors = MixtureFactors(400, 8, 43);
-  const BruteForceIndex exact(CopyFactors(factors));
-  const IvfIndex ivf(CopyFactors(factors), IvfConfig{});
+  const OwnedFactors factors = MixtureFactors(400, 8, 43);
+  const BruteForceIndex exact(factors.view());
+  const IvfIndex ivf(factors.view(), IvfConfig{});
 
   Rng rng(9);
   std::vector<float> query(8);
@@ -776,9 +799,9 @@ retrieval::ScanSpec Sq8Spec() {
 }
 
 TEST(RetrievalSq8, BruteDotScanIsBitwiseFloat) {
-  const ItemFactors factors = MixtureFactors(400, 12, 321);
-  const BruteForceIndex exact(CopyFactors(factors));
-  const BruteForceIndex sq8(CopyFactors(factors), Sq8Spec());
+  const OwnedFactors factors = MixtureFactors(400, 12, 321);
+  const BruteForceIndex exact(factors.view());
+  const BruteForceIndex sq8(factors.view(), Sq8Spec());
   ASSERT_NE(sq8.quantized(), nullptr);
   EXPECT_EQ(sq8.quantized()->code_bytes(), 400u * 12u);
 
@@ -799,10 +822,10 @@ TEST(RetrievalSq8, BruteDotScanIsBitwiseFloat) {
 }
 
 TEST(RetrievalSq8, BruteL2ScanIsBitwiseFloat) {
-  ItemFactors factors = MixtureFactors(400, 12, 654);
+  OwnedFactors factors = MixtureFactors(400, 12, 654);
   factors.kernel = ScoreKernel::kNegSquaredL2;
-  const BruteForceIndex exact(CopyFactors(factors));
-  const BruteForceIndex sq8(CopyFactors(factors), Sq8Spec());
+  const BruteForceIndex exact(factors.view());
+  const BruteForceIndex sq8(factors.view(), Sq8Spec());
 
   Rng rng(18);
   std::vector<float> query(12);
@@ -817,13 +840,13 @@ TEST(RetrievalSq8, NonFiniteFactorRowsStayBitwise) {
   // A few NaN/±inf item rows: the approximate scan gives them arbitrary
   // finite pool scores, the re-rank restores their true (NaN-last /
   // inf-first) placement. The widened pool absorbs the shuffling.
-  ItemFactors factors = MixtureFactors(300, 8, 777);
+  OwnedFactors factors = MixtureFactors(300, 8, 777);
   factors.items.At(5, 2) = kNan;
   factors.items.At(17, 0) = kInf;
   factors.items.At(42, 6) = -kInf;
   for (size_t d = 0; d < 8; ++d) factors.items.At(99, d) = kNan;
-  const BruteForceIndex exact(CopyFactors(factors));
-  const BruteForceIndex sq8(CopyFactors(factors), Sq8Spec());
+  const BruteForceIndex exact(factors.view());
+  const BruteForceIndex sq8(factors.view(), Sq8Spec());
 
   Rng rng(19);
   std::vector<float> query(8);
@@ -838,12 +861,12 @@ TEST(RetrievalSq8, PoolCoveringCatalogIsExactByConstruction) {
   // k + rerank_slack >= catalog: the pool holds every non-excluded item,
   // so the re-rank IS the full float scan — equality is structural, not
   // empirical.
-  const ItemFactors factors = MixtureFactors(60, 6, 888);
-  const BruteForceIndex exact(CopyFactors(factors));
+  const OwnedFactors factors = MixtureFactors(60, 6, 888);
+  const BruteForceIndex exact(factors.view());
   retrieval::ScanSpec spec = Sq8Spec();
   spec.rerank_factor = 1;
   spec.rerank_slack = 60;
-  const BruteForceIndex sq8(CopyFactors(factors), spec);
+  const BruteForceIndex sq8(factors.view(), spec);
   Rng rng(20);
   std::vector<float> query(6);
   for (int trial = 0; trial < 10; ++trial) {
@@ -854,12 +877,12 @@ TEST(RetrievalSq8, PoolCoveringCatalogIsExactByConstruction) {
 }
 
 TEST(RetrievalSq8, IvfSq8FullProbeIsBitwiseBruteFloat) {
-  const ItemFactors factors = MixtureFactors(250, 8, 999);
-  const BruteForceIndex exact(CopyFactors(factors));
+  const OwnedFactors factors = MixtureFactors(250, 8, 999);
+  const BruteForceIndex exact(factors.view());
   IvfConfig config;
   config.num_clusters = 10;
   config.num_probes = 10;  // nothing pruned: sq8 rerank must equal brute
-  const IvfIndex ivf(CopyFactors(factors), config, Sq8Spec());
+  const IvfIndex ivf(factors.view(), config, Sq8Spec());
 
   const std::vector<int32_t> exclude =
       retrieval::SanitizeExclude(std::vector<int32_t>{5, 17, 101}, 250);
@@ -879,12 +902,12 @@ TEST(RetrievalSq8, IvfSq8MatchesIvfFloatAtPartialProbes) {
   // Same probes, different scan representation: probe selection is
   // always float, so the scanned id set is identical and the re-rank
   // must reproduce the float IVF result bitwise.
-  const ItemFactors factors = MixtureFactors(300, 8, 1001);
+  const OwnedFactors factors = MixtureFactors(300, 8, 1001);
   IvfConfig config;
   config.num_clusters = 12;
   config.num_probes = 4;
-  const IvfIndex f32(CopyFactors(factors), config);
-  const IvfIndex sq8(CopyFactors(factors), config, Sq8Spec());
+  const IvfIndex f32(factors.view(), config);
+  const IvfIndex sq8(factors.view(), config, Sq8Spec());
   Rng rng(22);
   std::vector<float> query(8);
   for (int trial = 0; trial < 20; ++trial) {
@@ -897,8 +920,8 @@ TEST(RetrievalSq8, IvfSq8MatchesIvfFloatAtPartialProbes) {
 void ExpectSq8ServesBitwise(Recommender& model, const std::string& name) {
   const DotProductFactors* factors = AsFactorizable(model);
   ASSERT_NE(factors, nullptr) << name;
-  const BruteForceIndex exact(factors->ExportItemFactors());
-  const BruteForceIndex sq8(factors->ExportItemFactors(), Sq8Spec());
+  const BruteForceIndex exact(factors->item_factors());
+  const BruteForceIndex sq8(factors->item_factors(), Sq8Spec());
   const RetrievalWorld& world = SharedWorld();
   const int32_t num_users = world.split.train.num_users();
   std::vector<float> query(factors->factor_dim());
@@ -1005,13 +1028,13 @@ TEST(RetrievalSq8, TwoStageWithSq8StageOneServesRankerScores) {
 // queries allocation-free, pinned with a counting operator new.
 
 TEST(RetrievalScratch, SteadyStateQueriesAreAllocationFree) {
-  const ItemFactors factors = MixtureFactors(500, 16, 2025);
-  const BruteForceIndex f32(CopyFactors(factors));
-  const BruteForceIndex sq8(CopyFactors(factors), Sq8Spec());
+  const OwnedFactors factors = MixtureFactors(500, 16, 2025);
+  const BruteForceIndex f32(factors.view());
+  const BruteForceIndex sq8(factors.view(), Sq8Spec());
   IvfConfig ivf_config;
   ivf_config.num_clusters = 16;
   ivf_config.num_probes = 4;
-  const IvfIndex ivf(CopyFactors(factors), ivf_config, Sq8Spec());
+  const IvfIndex ivf(factors.view(), ivf_config, Sq8Spec());
 
   retrieval::SearchScratch scratch;
   std::vector<std::pair<int32_t, float>> out;
@@ -1040,15 +1063,44 @@ TEST(RetrievalScratch, SteadyStateQueriesAreAllocationFree) {
       << "steady-state QueryInto allocated";
 }
 
+// ---------------------------------------------------------------------
+// RetrievalNoCopy: indexes borrow the model's item rows.
+
+TEST(RetrievalNoCopy, AdoptWithAnExactIndexDoesNotCopyTheItemTable) {
+  MfConfig mf_config;
+  mf_config.dim = 64;
+  mf_config.epochs = 2;
+  auto model = std::make_unique<MfRecommender>(mf_config);
+  model->Fit(SharedWorld().Context());
+  const RowsView items = model->item_factors().items;
+  const size_t table_bytes = items.rows * items.dim * sizeof(float);
+  const float* rows = items.data;
+
+  RetrievalSpec spec;
+  spec.mode = RetrievalSpec::Mode::kExact;  // float32 scan
+  std::shared_ptr<const ServeHandle> handle;
+  kgrec_test_alloc::g_largest = 0;
+  kgrec_test_alloc::g_counting = true;
+  const Status status = ServeHandle::Adopt(
+      std::move(model), SharedWorld().Context(), 1, spec, &handle);
+  kgrec_test_alloc::g_counting = false;
+  ASSERT_TRUE(status.ok()) << status.message();
+  ASSERT_EQ(handle->retrieval_mode(), "exact-index");
+  EXPECT_LT(kgrec_test_alloc::g_largest, table_bytes)
+      << "Adopt allocated a buffer as large as the item table";
+  EXPECT_EQ(handle->index()->factors().items.data, rows)
+      << "the index must scan the model's own rows";
+}
+
 TEST(RetrievalScratch, QueryIntoMatchesQueryAcrossScratchReuse) {
   // One scratch reused across different indexes, kernels and k values
   // must never leak state between calls.
-  ItemFactors dot_factors = MixtureFactors(200, 8, 31);
-  ItemFactors l2_factors = MixtureFactors(200, 8, 32);
+  OwnedFactors dot_factors = MixtureFactors(200, 8, 31);
+  OwnedFactors l2_factors = MixtureFactors(200, 8, 32);
   l2_factors.kernel = ScoreKernel::kNegSquaredL2;
-  const BruteForceIndex dot_sq8(CopyFactors(dot_factors), Sq8Spec());
-  const BruteForceIndex l2_sq8(CopyFactors(l2_factors), Sq8Spec());
-  const BruteForceIndex dot_f32(CopyFactors(dot_factors));
+  const BruteForceIndex dot_sq8(dot_factors.view(), Sq8Spec());
+  const BruteForceIndex l2_sq8(l2_factors.view(), Sq8Spec());
+  const BruteForceIndex dot_f32(dot_factors.view());
 
   retrieval::SearchScratch scratch;
   std::vector<std::pair<int32_t, float>> out;

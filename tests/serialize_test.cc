@@ -94,6 +94,30 @@ TEST(Serialize, OverflowingShapeHeaderIsRejected) {
   std::remove(path.c_str());
 }
 
+TEST(Serialize, ShapeLargerThanTheFileIsRefusedBeforeAllocating) {
+  // rows * cols = 2^32 sits exactly at the element cap, so only the
+  // remaining-bytes guard stands between a file holding four floats and
+  // a 16 GiB zero-filled allocation. It must fail as a truncated archive.
+  const std::string path = TempPath("huge_shape.kgrt");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const uint32_t version = 1, count = 1, name_len = 1;
+  const uint64_t rows = 1ull << 16, cols = 1ull << 16;
+  ASSERT_EQ(std::fwrite("KGRT", 1, 4, f), 4u);
+  ASSERT_EQ(std::fwrite(&version, sizeof(version), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(&count, sizeof(count), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(&name_len, sizeof(name_len), 1, f), 1u);
+  ASSERT_EQ(std::fwrite("x", 1, 1, f), 1u);
+  ASSERT_EQ(std::fwrite(&rows, sizeof(rows), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(&cols, sizeof(cols), 1, f), 1u);
+  const float payload[4] = {1.0f, 2.0f, 3.0f, 4.0f};
+  ASSERT_EQ(std::fwrite(payload, sizeof(float), 4, f), 4u);
+  std::fclose(f);
+  std::vector<NamedTensor> loaded;
+  EXPECT_EQ(LoadTensorArchive(path, &loaded).code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
 TEST(Serialize, FailedSaveNeverClobbersExistingArchive) {
   // Saves write to <path>.tmp and rename into place only on success, so
   // a failed save must leave an existing good archive untouched. Force

@@ -6,8 +6,12 @@
 // SwapFromUpdate hot swap.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -169,7 +173,10 @@ TEST(OnlineUpdate, BitwiseAcrossRoundtripAndThreadCounts) {
   const RecContext live_ctx = MakeContext(live_train, live_kg, live_uig);
 
   // Fit + clone everything on the pristine base, then stream the world
-  // in two batches (so folds must not depend on batch partitioning).
+  // into both copies in the same two batches: the contract checked is
+  // bitwise equality for one partition across a checkpoint round-trip.
+  // Folds are not partition-invariant in general — MF/BPR-MF draw fold
+  // negatives from the post-batch world — so the two sides must share it.
   const std::string ckpt = testing::TempDir() + "update_roundtrip.kgrc";
   std::vector<std::unique_ptr<Recommender>> fitted, restored;
   for (const std::string& name : UpdatableMethodNames()) {
@@ -514,6 +521,218 @@ TEST(SwapFromUpdate, InstallsUpdatedCopyAndBumpsGeneration) {
       reference->ScoreItems(request.user, request.items);
   for (size_t i = 0; i < request.items.size(); ++i) {
     EXPECT_EQ(std::memcmp(&response.scores[i], &direct[i], sizeof(float)), 0);
+  }
+}
+
+TEST(SwapFromUpdate, ClonesInMemoryWhateverSitsAtTheOldTempPath) {
+  // The clone used to be a Save + LoadModel through
+  // /tmp/kgrec_swap_<pid>_<generation>.kgrc: anything squatting on that
+  // path (another router at the same generation, or a /tmp the process
+  // cannot write) made every swap fail. A directory there now changes
+  // nothing, and the swap serves bitwise what the file route serves.
+  // The path pins the removed temp-file route; no code uses it now, so
+  // the test can go once that route is no longer a risk to guard.
+  const EventStream stream(TinyStreamConfig());
+  const InteractionDataset base_train = stream.BaseInteractions();
+  const KnowledgeGraph base_kg = stream.BaseItemKg();
+  const UserItemGraph base_uig = stream.BaseUserItemGraph();
+  const RecContext base_ctx = MakeContext(base_train, base_kg, base_uig);
+  InteractionDataset live_train = base_train;
+  KnowledgeGraph live_kg = base_kg;
+  UserItemGraph live_uig = base_uig;
+  const RecContext live_ctx = MakeContext(live_train, live_kg, live_uig);
+  const EventBatch batch = stream.Batch(0, stream.size());
+  stream.ApplyBatch(batch, &live_train, &live_kg);
+  stream.ApplyBatchToUserItemGraph(batch, &live_uig);
+
+  std::unique_ptr<Recommender> serving = MakeRecommender("MF");
+  serving->Fit(base_ctx);
+
+  // The file route, by hand.
+  const std::string ckpt = testing::TempDir() + "swap_file_route.kgrc";
+  ASSERT_TRUE(serving->Save(ckpt).ok());
+  std::unique_ptr<Recommender> via_file;
+  ASSERT_TRUE(LoadModel(base_ctx, ckpt, &via_file).ok());
+  std::remove(ckpt.c_str());
+  ASSERT_TRUE(via_file->Update(live_ctx, batch).ok());
+  const std::shared_ptr<const serve::ServeHandle> reference =
+      serve::ServeHandle::Adopt(std::move(via_file), live_ctx, 2);
+
+  serve::RouterConfig config;
+  config.num_threads = 2;
+  serve::Router router(config,
+                       serve::ServeHandle::Adopt(std::move(serving),
+                                                 base_ctx, 1));
+  const std::string squatted =
+      "/tmp/kgrec_swap_" + std::to_string(getpid()) + "_2.kgrc";
+  // A directory left there by an earlier crashed run squats just as well.
+  ASSERT_TRUE(mkdir(squatted.c_str(), 0700) == 0 || errno == EEXIST)
+      << squatted;
+  const Status swapped = router.SwapFromUpdate(base_ctx, live_ctx, batch);
+  rmdir(squatted.c_str());
+  ASSERT_TRUE(swapped.ok()) << swapped.message();
+
+  const std::shared_ptr<const serve::ServeHandle> handle = router.current();
+  EXPECT_EQ(handle->generation(), 2u);
+  ExpectScoresBitwise(handle->model(), reference->model(),
+                      stream.total_num_users(), stream.num_items());
+  for (int32_t user = 0; user < stream.total_num_users(); user += 5) {
+    const auto want = reference->Recommend(user, 5);
+    const auto got = handle->Recommend(user, 5);
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].first, got[i].first) << "user " << user;
+      EXPECT_EQ(std::memcmp(&want[i].second, &got[i].second, sizeof(float)),
+                0)
+          << "user " << user;
+    }
+  }
+}
+
+TEST(SwapFromUpdate, BothSwapPathsKeepTheRetrievalSpec) {
+  // An IVF + SQ8 handle must stay one across SwapFromCheckpoint and
+  // SwapFromUpdate, and answer exactly like a handle built directly
+  // with that spec (both swaps used to fall back to a kAuto exact index).
+  const EventStream stream(TinyStreamConfig());
+  const InteractionDataset base_train = stream.BaseInteractions();
+  const KnowledgeGraph base_kg = stream.BaseItemKg();
+  const UserItemGraph base_uig = stream.BaseUserItemGraph();
+  const RecContext base_ctx = MakeContext(base_train, base_kg, base_uig);
+  InteractionDataset live_train = base_train;
+  KnowledgeGraph live_kg = base_kg;
+  UserItemGraph live_uig = base_uig;
+  const RecContext live_ctx = MakeContext(live_train, live_kg, live_uig);
+  const EventBatch batch = stream.Batch(0, stream.size());
+  stream.ApplyBatch(batch, &live_train, &live_kg);
+  stream.ApplyBatchToUserItemGraph(batch, &live_uig);
+
+  serve::RetrievalSpec spec;
+  spec.mode = serve::RetrievalSpec::Mode::kIvf;
+  spec.ivf.num_clusters = 4;
+  spec.ivf.num_probes = 2;
+  spec.scan.precision = retrieval::ScanPrecision::kSq8;
+
+  std::unique_ptr<Recommender> fitted = MakeRecommender("MF");
+  fitted->Fit(base_ctx);
+  const std::string ckpt = testing::TempDir() + "swap_spec.kgrc";
+  ASSERT_TRUE(fitted->Save(ckpt).ok());
+  std::shared_ptr<const serve::ServeHandle> initial;
+  ASSERT_TRUE(serve::ServeHandle::Open(base_ctx, ckpt, 1, spec, &initial).ok());
+  ASSERT_EQ(initial->retrieval_mode(), "ivf-index+sq8");
+  serve::RouterConfig config;
+  config.num_threads = 2;
+  serve::Router router(config, initial);
+
+  const auto expect_same_topk = [&](const serve::ServeHandle& want,
+                                    int32_t num_users, const char* what) {
+    const std::shared_ptr<const serve::ServeHandle> got = router.current();
+    EXPECT_EQ(got->retrieval_mode(), "ivf-index+sq8") << what;
+    for (int32_t user = 0; user < num_users; user += 3) {
+      const auto a = want.Recommend(user, 5);
+      const auto b = got->Recommend(user, 5);
+      ASSERT_EQ(a.size(), b.size()) << what;
+      for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].first, b[i].first) << what << " user " << user;
+        EXPECT_EQ(std::memcmp(&a[i].second, &b[i].second, sizeof(float)), 0)
+            << what << " user " << user;
+      }
+    }
+  };
+
+  ASSERT_TRUE(router.SwapFromCheckpoint(base_ctx, ckpt).ok());
+  std::shared_ptr<const serve::ServeHandle> direct;
+  ASSERT_TRUE(serve::ServeHandle::Open(base_ctx, ckpt, 2, spec, &direct).ok());
+  expect_same_topk(*direct, base_train.num_users(), "checkpoint swap");
+  std::remove(ckpt.c_str());
+
+  ASSERT_TRUE(router.SwapFromUpdate(base_ctx, live_ctx, batch).ok());
+  ASSERT_TRUE(fitted->Update(live_ctx, batch).ok());
+  ASSERT_TRUE(serve::ServeHandle::Adopt(std::move(fitted), live_ctx, 3, spec,
+                                        &direct)
+                  .ok());
+  expect_same_topk(*direct, stream.total_num_users(), "update swap");
+}
+
+TEST(SwapFromUpdate, TwoStageSwapAdmitsOnlyUsersTheCandidateKnows) {
+  // A two-stage handle carries its candidate model over unchanged. An MF
+  // candidate has user rows for the pre-batch users only, so a swap into
+  // a world with new users must fail and leave the old generation
+  // serving; adopting them would send them to the candidate's
+  // FillUserQuery, past the end of its user table. A CFKG candidate
+  // computes its query from the user-item graph, where every user of the
+  // stream pre-exists, so there the swap goes through and new users are
+  // served.
+  const EventStream stream(TinyStreamConfig());
+  const InteractionDataset base_train = stream.BaseInteractions();
+  const KnowledgeGraph base_kg = stream.BaseItemKg();
+  const UserItemGraph base_uig = stream.BaseUserItemGraph();
+  const RecContext base_ctx = MakeContext(base_train, base_kg, base_uig);
+  InteractionDataset live_train = base_train;
+  KnowledgeGraph live_kg = base_kg;
+  UserItemGraph live_uig = base_uig;
+  const RecContext live_ctx = MakeContext(live_train, live_kg, live_uig);
+  const EventBatch batch = stream.Batch(0, stream.size());
+  stream.ApplyBatch(batch, &live_train, &live_kg);
+  stream.ApplyBatchToUserItemGraph(batch, &live_uig);
+  const int32_t new_user = base_train.num_users();
+  ASSERT_GT(live_train.num_users(), new_user);
+
+  for (const bool cfkg : {false, true}) {
+    SCOPED_TRACE(cfkg ? "CFKG candidate" : "MF candidate");
+    std::shared_ptr<Recommender> candidate =
+        MakeRecommender(cfkg ? "CFKG" : "MF");
+    candidate->Fit(base_ctx);
+    serve::RetrievalSpec spec;
+    spec.mode = serve::RetrievalSpec::Mode::kTwoStage;
+    spec.candidate_model = candidate;
+
+    std::unique_ptr<Recommender> served = MakeRecommender("MF");
+    served->Fit(base_ctx);
+    const std::string ckpt = testing::TempDir() + "swap_two_stage.kgrc";
+    ASSERT_TRUE(served->Save(ckpt).ok());
+    std::shared_ptr<const serve::ServeHandle> initial;
+    ASSERT_TRUE(serve::ServeHandle::Adopt(std::move(served), base_ctx, 1,
+                                          spec, &initial)
+                    .ok());
+    ASSERT_EQ(initial->retrieval_mode(), "two-stage");
+    serve::RouterConfig config;
+    config.num_threads = 2;
+    serve::Router router(config, initial);
+
+    // Same world: the swap keeps the two-stage spec.
+    ASSERT_TRUE(router.SwapFromCheckpoint(base_ctx, ckpt).ok());
+    EXPECT_EQ(router.current()->retrieval_mode(), "two-stage");
+
+    const Status status = router.SwapFromUpdate(base_ctx, live_ctx, batch);
+    const std::shared_ptr<const serve::ServeHandle> live = router.current();
+    if (!cfkg) {
+      EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+          << status.message();
+      EXPECT_EQ(live->generation(), 2u);  // the checkpoint swap's handle
+      EXPECT_FALSE(live->CheckIds(new_user).ok());
+      EXPECT_EQ(live->Recommend(0, 5).size(), 5u);
+    } else {
+      ASSERT_TRUE(status.ok()) << status.message();
+      EXPECT_EQ(live->generation(), 3u);
+      EXPECT_EQ(live->retrieval_mode(), "two-stage");
+      std::unique_ptr<Recommender> updated;
+      ASSERT_TRUE(LoadModel(base_ctx, ckpt, &updated).ok());
+      ASSERT_TRUE(updated->Update(live_ctx, batch).ok());
+      std::shared_ptr<const serve::ServeHandle> direct;
+      ASSERT_TRUE(serve::ServeHandle::Adopt(std::move(updated), live_ctx, 3,
+                                            spec, &direct)
+                      .ok());
+      const auto want = direct->Recommend(new_user, 5);
+      const auto got = live->Recommend(new_user, 5);
+      ASSERT_EQ(got.size(), 5u);
+      ASSERT_EQ(want.size(), got.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(want[i].first, got[i].first);
+        EXPECT_EQ(std::memcmp(&want[i].second, &got[i].second, sizeof(float)),
+                  0);
+      }
+    }
+    std::remove(ckpt.c_str());
   }
 }
 

@@ -36,6 +36,13 @@ void InteractionDataset::MoveFrom(InteractionDataset&& other) noexcept {
   frozen_ = other.frozen_;
   frozen_log_size_ = other.frozen_log_size_;
   frozen_num_users_ = other.frozen_num_users_;
+  // A moved-from vector is only "valid but unspecified", and the next
+  // build extends from user_ptr_.back(): leave an explicitly empty log
+  // and index behind.
+  other.interactions_.clear();
+  other.user_ptr_.clear();
+  other.user_item_flat_.clear();
+  other.user_item_sorted_.clear();
   other.index_clean_.store(false, std::memory_order_release);
   other.frozen_ = false;
 }
@@ -76,48 +83,92 @@ void InteractionDataset::EnsureIndex() const {
   if (index_clean_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(index_mutex_);
   if (index_clean_.load(std::memory_order_relaxed)) return;
-  // A rebuild reallocates the flat arrays; inside a frozen epoch that
-  // would dangle every span handed out since Freeze(). The pin keeps
-  // index_clean_ true for the epoch, so reaching here frozen is a
-  // contract violation by definition.
+  // A build moves rows within the flat arrays (and may reallocate them);
+  // inside a frozen epoch that would dangle every span handed out since
+  // Freeze(). The pin keeps index_clean_ true for the epoch, so reaching
+  // here frozen is a contract violation by definition.
   KGREC_CHECK(!frozen_);
-  // Stable counting sort by user: per-user insertion order preserved,
-  // exactly the order the old per-user vectors accumulated.
+  // The log is append-only between builds (Add is its only mutator;
+  // CopyFrom resets the index and MoveFrom carries it along with its
+  // log), so the last build covers exactly the prefix [0, base) and only
+  // the tail [base, size) is new. A first build is the base == 0 case of
+  // the same steps.
   const size_t n = static_cast<size_t>(num_users());
-  user_ptr_.assign(n + 1, 0);
-  for (const Interaction& x : interactions_) ++user_ptr_[x.user + 1];
-  for (size_t u = 0; u < n; ++u) user_ptr_[u + 1] += user_ptr_[u];
-  user_item_flat_.resize(interactions_.size());
-  std::vector<uint32_t> cursor(user_ptr_.begin(), user_ptr_.end() - 1);
-  for (const Interaction& x : interactions_) {
-    user_item_flat_[cursor[x.user]++] = x.item;
+  const uint32_t base = user_ptr_.empty() ? 0 : user_ptr_.back();
+  const size_t size = interactions_.size();
+  KGREC_CHECK(user_ptr_.size() <= n + 1 && base <= size);
+  // shift[u] = tail events of users < u: how far user u's row moves right.
+  std::vector<uint32_t> shift(n + 1, 0);
+  for (size_t i = base; i < size; ++i) ++shift[interactions_[i].user + 1];
+  for (size_t u = 0; u < n; ++u) shift[u + 1] += shift[u];
+  // Users born since the last build own empty rows at the old end.
+  user_ptr_.resize(n + 1, base);
+  user_item_flat_.resize(size);
+  user_item_sorted_.resize(size);
+  // Shift the old rows into place in both lanes, last user first so no
+  // row is overwritten before it moves; below the first user with
+  // shift 0 every row is already in place.
+  for (size_t u = n; u-- > 0 && shift[u] > 0;) {
+    const uint32_t first = user_ptr_[u];
+    const uint32_t last = user_ptr_[u + 1];
+    std::copy_backward(user_item_flat_.begin() + first,
+                       user_item_flat_.begin() + last,
+                       user_item_flat_.begin() + last + shift[u]);
+    std::copy_backward(user_item_sorted_.begin() + first,
+                       user_item_sorted_.begin() + last,
+                       user_item_sorted_.begin() + last + shift[u]);
   }
-  // The Contains() lane: same rows, each sorted ascending.
-  user_item_sorted_ = user_item_flat_;
+  for (size_t u = 0; u <= n; ++u) user_ptr_[u] += shift[u];
+  // Append each tail event after its user's old row. Filling backwards
+  // from each row's end keeps per-user insertion order (a stable
+  // counting sort) and leaves user_ptr_[u + 1] at the user's tail start.
+  for (size_t i = size; i-- > base;) {
+    const Interaction& x = interactions_[i];
+    const uint32_t at = --user_ptr_[x.user + 1];
+    user_item_flat_[at] = x.item;
+    user_item_sorted_[at] = x.item;
+  }
+  // The Contains() lane: sort each touched user's tail and merge it into
+  // the user's already sorted row; restore the row end.
   for (size_t u = 0; u < n; ++u) {
-    std::sort(user_item_sorted_.begin() + user_ptr_[u],
-              user_item_sorted_.begin() + user_ptr_[u + 1]);
+    const uint32_t added = shift[u + 1] - shift[u];
+    if (added == 0) continue;
+    const auto row = user_item_sorted_.begin() + user_ptr_[u];
+    const auto tail = user_item_sorted_.begin() + user_ptr_[u + 1];
+    std::sort(tail, tail + added);
+    std::inplace_merge(row, tail, tail + added);
+    user_ptr_[u + 1] += added;
   }
   index_generation_.fetch_add(1, std::memory_order_acq_rel);
   index_clean_.store(true, std::memory_order_release);
 }
 
 std::span<const int32_t> InteractionDataset::UserItems(int32_t user) const {
+  return Row(user_item_flat_, user);
+}
+
+std::span<const int32_t> InteractionDataset::SortedUserItems(
+    int32_t user) const {
+  return Row(user_item_sorted_, user);
+}
+
+std::span<const int32_t> InteractionDataset::Row(
+    const std::vector<int32_t>& lane, int32_t user) const {
   KGREC_CHECK(user >= 0 && user < num_users());
   EnsureIndex();
   // A user born after a frozen index was pinned has no row yet; the
   // epoch view is an empty history.
   if (static_cast<size_t>(user) + 1 >= user_ptr_.size()) return {};
-  return {user_item_flat_.data() + user_ptr_[user],
+  return {lane.data() + user_ptr_[user],
           user_ptr_[user + 1] - user_ptr_[user]};
 }
 
 bool InteractionDataset::Contains(int32_t user, int32_t item) const {
   KGREC_CHECK(user >= 0 && user < num_users());
   if (!index_clean_.load(std::memory_order_acquire)) {
-    // Pre-index (or rebuild pending): answer from the log without
-    // forcing a rebuild — a rebuild here would reallocate the flat
-    // arrays under any concurrently held UserItems() span.
+    // Pre-index (or build pending): answer from the log without forcing
+    // a build — a build here would move rows in the flat arrays under
+    // any concurrently held UserItems() span.
     for (const Interaction& x : interactions_) {
       if (x.user == user && x.item == item) return true;
     }
@@ -222,12 +273,14 @@ int32_t NegativeSampler::Sample(int32_t user, Rng& rng) const {
     const int32_t item = static_cast<int32_t>(rng.UniformInt(n));
     if (!reference_.Contains(user, item)) return item;
   }
-  // Dense user: scan for any non-interacted item.
-  std::unordered_set<int32_t> owned(reference_.UserItems(user).begin(),
-                                    reference_.UserItems(user).end());
-  for (int32_t i = 0; i < n; ++i) {
-    if (owned.count(i) == 0) return i;
+  // Dense user: the smallest non-interacted item, found by walking the
+  // user's ascending row.
+  int32_t first_free = 0;
+  for (const int32_t item : reference_.SortedUserItems(user)) {
+    if (item > first_free) break;
+    if (item == first_free) ++first_free;
   }
+  if (first_free < n) return first_free;
   return static_cast<int32_t>(rng.UniformInt(n));  // user owns everything
 }
 

@@ -24,19 +24,26 @@ struct Interaction {
 ///
 /// Memory model: the only always-on storage is the flat interaction log
 /// (8 bytes per event). The per-user history view (UserItems) is served
-/// from a flat CSR index — one offset array plus one item array — built
-/// lazily by a stable counting sort, so per-user insertion order is
-/// preserved without a heap-allocated vector per user (the old
-/// vector<vector> layout cost ~56+ bytes of header/allocator overhead
-/// per user at 10^6 users before the first item was stored).
+/// from a flat CSR index — one offset array plus two item lanes, one in
+/// insertion order and one sorted per user — built lazily by a stable
+/// counting sort, so per-user insertion order is preserved without a
+/// heap-allocated vector per user (the old vector<vector> layout cost
+/// ~56+ bytes of header/allocator overhead per user at 10^6 users before
+/// the first item was stored). The log is append-only between builds,
+/// so a build extends from the clean prefix: it takes in only the events
+/// appended since the last build, shifting the old rows in place and
+/// merging the new items into each touched user's sorted row, and the
+/// result is element-for-element the from-scratch build. The index is
+/// never held twice.
 class InteractionDataset {
  public:
   InteractionDataset() : num_users_(0), num_items_(0) {}
   InteractionDataset(int32_t num_users, int32_t num_items)
       : num_users_(num_users), num_items_(num_items) {}
 
-  /// The CSR index cache is rebuilt lazily in the destination; copies and
-  /// moves are cheap in the sense that they never carry a stale index.
+  /// A copy starts with an empty index and builds it lazily; a move
+  /// carries the log and index along and leaves the source with an empty
+  /// log and index. Neither ever carries a stale index.
   InteractionDataset(const InteractionDataset& other) { CopyFrom(other); }
   InteractionDataset& operator=(const InteractionDataset& other) {
     if (this != &other) CopyFrom(other);
@@ -58,7 +65,7 @@ class InteractionDataset {
 
   /// Appends an interaction (deduplicated per user lazily by callers).
   /// Unfrozen: invalidates the user index; the next UserItems() call
-  /// rebuilds it, so it must not race with concurrent readers (see
+  /// extends it, so it must not race with concurrent readers (see
   /// index_generation()). Frozen: appends to the log WITHOUT touching
   /// the index — epoch readers stay valid (see Freeze()).
   void Add(int32_t user, int32_t item);
@@ -66,16 +73,16 @@ class InteractionDataset {
   /// Widens the user space by `count` new (empty-history) users at the
   /// tail of the id range. Unfrozen: invalidates the index (the offset
   /// array is sized per user). Frozen: deferred — the new users report
-  /// empty histories until Thaw() rebuilds.
+  /// empty histories until the first build after Thaw().
   void GrowUsers(int32_t count);
 
   /// True if (user, item) is observed. With a built index this is a
   /// binary search over the user's sorted row (hot in streaming dedup
   /// and negative sampling); before the first index build — or while a
-  /// rebuild is pending — it linear-scans the log instead of forcing a
-  /// rebuild, so a one-off query never reallocates the index under
-  /// concurrent span holders. While frozen it answers from the pinned
-  /// epoch, like UserItems().
+  /// build is pending — it linear-scans the log instead of forcing a
+  /// build, so a one-off query never moves the index under concurrent
+  /// span holders. While frozen it answers from the pinned epoch, like
+  /// UserItems().
   bool Contains(int32_t user, int32_t item) const;
 
   /// Builds the lazy index now if it is dirty (no-op inside a frozen
@@ -96,6 +103,11 @@ class InteractionDataset {
   /// lock-free fast path.
   std::span<const int32_t> UserItems(int32_t user) const;
 
+  /// The same items sorted ascending (duplicates kept): the row
+  /// Contains() binary-searches. Same lifetime and epoch rules as
+  /// UserItems().
+  std::span<const int32_t> SortedUserItems(int32_t user) const;
+
   /// Density |R| / (m * n).
   double Density() const;
 
@@ -111,23 +123,26 @@ class InteractionDataset {
 
   /// --- Streaming epochs -------------------------------------------
   /// The unfrozen index has a documented no-race contract: Add()
-  /// invalidates it, and the next UserItems() call reallocates the flat
-  /// arrays — any std::span still held from the previous build dangles.
+  /// invalidates it, and the next UserItems() call extends the flat
+  /// arrays in place (moving rows, possibly reallocating) — any
+  /// std::span still held from the previous build dangles.
   /// Freeze() pins an epoch for the streaming path: it builds the index
   /// once, and until Thaw() every Add()/GrowUsers() lands in the log
   /// without invalidating it, so readers can never observe a
-  /// mid-rebuild index. While frozen, UserItems() and Contains() answer
+  /// mid-build index. While frozen, UserItems() and Contains() answer
   /// from the pinned snapshot (post-freeze events and users are
   /// invisible); Thaw() lifts the pin and invalidates iff anything
-  /// changed, making the appended events visible on the next rebuild.
+  /// changed, making the appended events visible on the next build,
+  /// which extends from the clean prefix the epoch pinned.
   void Freeze();
   void Thaw();
   bool frozen() const { return frozen_; }
 
-  /// Rebuild counter for the CSR index (0 = never built). A reader that
+  /// Build counter for the CSR index (0 = never built; +1 per build,
+  /// whether it starts from an empty index or extends one). A reader that
   /// caches a span across its own calls can record the generation at
   /// acquisition and KGREC_CHECK it is unchanged before each reuse —
-  /// that is the assertable form of the no-race contract. Rebuilds are
+  /// that is the assertable form of the no-race contract. Builds are
   /// themselves KGREC_CHECKed to never run inside a frozen epoch.
   uint64_t index_generation() const {
     return index_generation_.load(std::memory_order_acquire);
@@ -136,7 +151,13 @@ class InteractionDataset {
  private:
   void CopyFrom(const InteractionDataset& other);
   void MoveFrom(InteractionDataset&& other) noexcept;
+  /// Brings a dirty index up to date by extending it from the clean
+  /// prefix [0, user_ptr_.back()) the last build covered (the whole log
+  /// when the index is empty); no-op when clean.
   void EnsureIndex() const;
+  /// The user's row in one lane of the index, built on demand.
+  std::span<const int32_t> Row(const std::vector<int32_t>& lane,
+                               int32_t user) const;
 
   /// Atomic because a frozen-epoch writer may GrowUsers() while reader
   /// threads bounds-check against it in UserItems()/Contains(); readers
@@ -146,7 +167,8 @@ class InteractionDataset {
   int32_t num_items_;
   std::vector<Interaction> interactions_;
 
-  /// Flat CSR user->items index, derived from interactions_ on demand.
+  /// Flat CSR user->items index, derived from interactions_ on demand;
+  /// when clean it covers exactly the log prefix [0, user_ptr_.back()).
   /// 32-bit offsets: the interaction count is checked against the
   /// AdjOffset-style cap on Add. user_item_sorted_ mirrors
   /// user_item_flat_ with each user's row sorted ascending — the

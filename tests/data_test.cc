@@ -161,6 +161,41 @@ TEST(NegativeSampler, NeverReturnsPositives) {
   EXPECT_EQ(distinct.size(), many.size());
 }
 
+// A user who owns all items but one gets exactly that item, whether a
+// random probe finds it or the dense-user fallback walks the sorted row
+// (with 3999 of 4000 items owned, the 200 probes usually all miss).
+TEST(NegativeSampler, DenseUserGetsTheOneItemTheyLack) {
+  constexpr int32_t kItems = 4000;
+  constexpr int32_t kLacking = 1234;
+  InteractionDataset data(2, kItems);
+  for (int32_t i = kItems; i-- > 0;) {  // descending: row order != sorted
+    if (i != kLacking) data.Add(0, i);
+  }
+  data.Add(0, kLacking - 1);  // duplicates must not hide the gap
+  data.Add(0, 0);
+  data.Add(1, kLacking);
+  NegativeSampler sampler(data);
+  Rng rng(5);
+  for (int k = 0; k < 20; ++k) EXPECT_EQ(sampler.Sample(0, rng), kLacking);
+}
+
+// A user who owns every item gets the uniform draw that follows the 200
+// failed probes.
+TEST(NegativeSampler, UserOwningEveryItemGetsTheDrawAfterTheProbes) {
+  constexpr int32_t kItems = 7;
+  InteractionDataset data(1, kItems);
+  for (int32_t i = 0; i < kItems; ++i) data.Add(0, i);
+  data.Add(0, 3);
+  NegativeSampler sampler(data);
+  Rng rng(21);
+  Rng replay(21);
+  for (int k = 0; k < 5; ++k) {
+    for (int probe = 0; probe < 200; ++probe) replay.UniformInt(kItems);
+    EXPECT_EQ(sampler.Sample(0, rng),
+              static_cast<int32_t>(replay.UniformInt(kItems)));
+  }
+}
+
 WorldConfig TestConfig() {
   WorldConfig config;
   config.num_users = 60;

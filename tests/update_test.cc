@@ -1,7 +1,8 @@
 // Lockdown for the streaming/online-update layer (DESIGN.md §13): the
 // event-stream replay contract, the registry-wide Recommender::Update()
 // determinism contract, the InteractionDataset frozen-epoch machinery
-// that lets serve-path readers survive a streaming writer, the
+// that lets serve-path readers survive a streaming writer and the
+// append-aware index that extends instead of rebuilding, the
 // KnowledgeGraph incremental-batch growth path, and the router's
 // SwapFromUpdate hot swap.
 
@@ -9,11 +10,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -394,6 +397,148 @@ TEST(FreezeThaw, ConcurrentEpochReadersDuringFrozenAppends) {
   EXPECT_EQ(data.num_users(), kUsers + 4);
   EXPECT_TRUE(data.Contains(0, kItems - 1));
   EXPECT_EQ(data.UserItems(0).size(), pinned[0].size() + 2400 / kUsers);
+}
+
+// ---------------------------------------------------------------------
+// InteractionDataset append-aware index: a build extends the index from
+// the log prefix the last build covered, and the result must equal a
+// from-scratch build element for element.
+
+std::vector<int32_t> ToVector(std::span<const int32_t> span) {
+  return {span.begin(), span.end()};
+}
+
+// Checks every index read of `data` against a dataset built from scratch
+// out of the first `log_size` events of its log over `num_users` users —
+// the whole log, or the pinned epoch while frozen — and that scratch
+// build against plain per-user vectors. Contains() is checked over the
+// whole user x item grid before the reads (the linear lane when the
+// index is dirty) and after them (the binary-search lane).
+void ExpectIndexEqualsScratch(const InteractionDataset& data,
+                              size_t log_size, int32_t num_users) {
+  const std::vector<Interaction>& log = data.interactions();
+  ASSERT_LE(log_size, log.size());
+  InteractionDataset scratch(num_users, data.num_items());
+  std::vector<std::vector<int32_t>> rows(data.num_users());
+  for (size_t i = 0; i < log_size; ++i) {
+    scratch.Add(log[i].user, log[i].item);
+    rows[log[i].user].push_back(log[i].item);
+  }
+  const auto contains_grid = [&](const InteractionDataset& d, int32_t u) {
+    std::vector<bool> grid(d.num_items());
+    for (int32_t i = 0; i < d.num_items(); ++i) grid[i] = d.Contains(u, i);
+    return grid;
+  };
+  const auto owned_grid = [&](int32_t u) {
+    std::vector<bool> grid(data.num_items(), false);
+    for (int32_t i : rows[u]) grid[i] = true;
+    return grid;
+  };
+  for (int32_t u = 0; u < data.num_users(); ++u) {
+    ASSERT_EQ(contains_grid(data, u), owned_grid(u)) << "user " << u;
+  }
+  for (int32_t u = 0; u < data.num_users(); ++u) {
+    std::vector<int32_t> sorted = rows[u];
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_EQ(ToVector(data.UserItems(u)), rows[u]) << "user " << u;
+    ASSERT_EQ(ToVector(data.SortedUserItems(u)), sorted) << "user " << u;
+    ASSERT_EQ(contains_grid(data, u), owned_grid(u)) << "user " << u;
+    if (u >= num_users) continue;
+    ASSERT_EQ(ToVector(scratch.UserItems(u)), rows[u]) << "user " << u;
+    ASSERT_EQ(ToVector(scratch.SortedUserItems(u)), sorted) << "user " << u;
+    ASSERT_EQ(contains_grid(scratch, u), owned_grid(u)) << "user " << u;
+  }
+}
+
+TEST(InteractionIndex, AppendBuildEqualsScratchBuild) {
+  constexpr int32_t kItems = 23;
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    InteractionDataset data(3 + static_cast<int32_t>(seed), kItems);
+    // The test's own model of the build counter: +1 for each read of a
+    // dirty index, reset by a copy, carried by a move.
+    uint64_t generation = 0;
+    bool dirty = true;
+    const auto add_burst = [&](size_t count) {
+      for (size_t k = 0; k < count; ++k) {
+        data.Add(static_cast<int32_t>(rng.UniformInt(data.num_users())),
+                 static_cast<int32_t>(rng.UniformInt(kItems)));
+      }
+    };
+    for (int step = 0; step < 120; ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      const uint64_t kind = rng.UniformInt(10);
+      if (kind < 5) {
+        add_burst(1 + rng.UniformInt(12));
+        dirty = true;
+      } else if (kind < 6) {
+        // New users, some of whom interact at once.
+        data.GrowUsers(static_cast<int32_t>(rng.UniformInt(3)));
+        for (size_t k = rng.UniformInt(4); k > 0; --k) {
+          data.Add(data.num_users() - 1,
+                   static_cast<int32_t>(rng.UniformInt(kItems)));
+        }
+        dirty = true;
+      } else if (kind < 8) {
+        data.Freeze();
+        if (dirty) ++generation;
+        dirty = false;
+        const size_t pinned_log = data.num_interactions();
+        const int32_t pinned_users = data.num_users();
+        add_burst(rng.UniformInt(8));
+        if (rng.UniformInt(2) == 0) data.GrowUsers(1);
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectIndexEqualsScratch(data, pinned_log, pinned_users));
+        ASSERT_EQ(data.index_generation(), generation);
+        data.Thaw();
+        dirty = data.num_interactions() != pinned_log ||
+                data.num_users() != pinned_users;
+      } else if (kind < 9) {
+        const InteractionDataset copy(data);
+        data = copy;
+        generation = 0;
+        dirty = true;
+      } else {
+        InteractionDataset moved(std::move(data));
+        EXPECT_EQ(data.num_interactions(), 0u);
+        data = std::move(moved);
+      }
+      if (dirty) ++generation;
+      dirty = false;
+      ASSERT_NO_FATAL_FAILURE(ExpectIndexEqualsScratch(
+          data, data.num_interactions(), data.num_users()));
+      ASSERT_EQ(data.index_generation(), generation);
+    }
+  }
+}
+
+TEST(InteractionIndex, MovedFromDatasetBuildsFromItsOwnLog) {
+  InteractionDataset source(4, 9);
+  source.Add(0, 5);
+  source.Add(2, 1);
+  source.Add(0, 3);
+  ASSERT_EQ(source.UserItems(0).size(), 2u);  // builds the index
+
+  InteractionDataset taken(std::move(source));
+  EXPECT_EQ(source.num_interactions(), 0u);
+  EXPECT_EQ(ToVector(taken.UserItems(0)), (std::vector<int32_t>{5, 3}));
+
+  // The moved-from dataset is reusable: its next build sees only its own
+  // (new) log, never a stale prefix of the moved index.
+  source.Add(3, 7);
+  source.Add(0, 8);
+  ASSERT_NO_FATAL_FAILURE(ExpectIndexEqualsScratch(
+      source, source.num_interactions(), source.num_users()));
+
+  // Reassigned from a dataset whose index is dirty: the index moves with
+  // its log and is extended, not mixed with the destination's.
+  taken.Add(1, 4);
+  source = std::move(taken);
+  source.Add(1, 2);
+  ASSERT_NO_FATAL_FAILURE(ExpectIndexEqualsScratch(
+      source, source.num_interactions(), source.num_users()));
+  EXPECT_EQ(ToVector(source.UserItems(1)), (std::vector<int32_t>{4, 2}));
 }
 
 // ---------------------------------------------------------------------

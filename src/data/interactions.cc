@@ -287,8 +287,15 @@ int32_t NegativeSampler::Sample(int32_t user, Rng& rng) const {
 std::vector<int32_t> NegativeSampler::SampleMany(int32_t user, size_t count,
                                                  Rng& rng) const {
   std::unordered_set<int32_t> chosen;
+  // Count distinct owned items: the log may hold duplicate events,
+  // which the sorted row keeps adjacent.
+  const std::span<const int32_t> owned = reference_.SortedUserItems(user);
+  size_t distinct = 0;
+  for (size_t i = 0; i < owned.size(); ++i) {
+    if (i == 0 || owned[i] != owned[i - 1]) ++distinct;
+  }
   const size_t available =
-      reference_.num_items() - reference_.UserItems(user).size();
+      static_cast<size_t>(reference_.num_items()) - distinct;
   count = std::min(count, available);
   std::vector<int32_t> out;
   while (out.size() < count) {

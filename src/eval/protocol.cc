@@ -7,6 +7,7 @@
 #include "core/thread_pool.h"
 #include "eval/metrics.h"
 #include "math/topk.h"
+#include "nn/tensor.h"
 
 namespace kgrec {
 namespace {
@@ -83,6 +84,8 @@ CtrMetrics EvaluateCtr(const Recommender& model,
   const Status status = ParallelFor(
       num_users, options.num_threads,
       [&](size_t begin, size_t end) -> Status {
+        // Inside the task: the scope is thread-local (nn/tensor.h).
+        nn::NoGradScope no_grad;
         std::vector<int32_t> candidates;
         std::vector<size_t> kept;
         for (size_t uu = begin; uu < end; ++uu) {
@@ -158,6 +161,7 @@ TopKMetrics EvaluateTopK(const Recommender& model,
   const Status status = ParallelFor(
       num_users, options.num_threads,
       [&](size_t begin, size_t end) -> Status {
+        nn::NoGradScope no_grad;
         for (size_t uu = begin; uu < end; ++uu) {
           const int32_t u = static_cast<int32_t>(uu);
           const auto& positives = test.UserItems(u);

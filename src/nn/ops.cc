@@ -11,13 +11,18 @@ namespace {
 
 using internal::Node;
 
+/// A fresh [rows, cols] result node of an op over `parents`. Inside a
+/// NoGradScope the node records no parents and needs no grad, so the op
+/// sets no backward closure either.
+template <typename... Parents>
 std::shared_ptr<Node> MakeNode(size_t rows, size_t cols,
-                               std::vector<std::shared_ptr<Node>> parents) {
+                               const Parents&... parents) {
   auto node = std::make_shared<Node>();
   node->rows = rows;
   node->cols = cols;
   node->data.resize(rows * cols);
-  node->parents = std::move(parents);
+  if (NoGradScope::active()) return node;
+  node->parents = {parents.node()...};
   for (const auto& p : node->parents) {
     if (p->requires_grad) node->requires_grad = true;
   }
@@ -36,44 +41,129 @@ Broadcast BroadcastKind(const Node& a, const Node& b) {
   return Broadcast::kSame;
 }
 
-/// Index of the b element matched with a's flat index i.
-size_t BIndex(Broadcast kind, const Node& a, size_t i) {
+// One loop per Broadcast kind, so no element pays an index switch or a
+// division. Each b-gradient slot accumulates in ascending a-index
+// order, which keeps the loops bitwise the per-element formulation
+// (tests/nn_inference_test.cc). a and b can be one node (Mul(x, x))
+// only under kSame, since every other kind means the shapes differ;
+// there the a and b updates of an element stay in one loop body, in
+// that order, and the grad pointers carry no __restrict.
+
+/// out = fwd(a, b) elementwise over a's [rows, cols] shape. `out` is a
+/// fresh buffer and x, y are only read (they may be one buffer), so all
+/// three may be __restrict.
+template <typename Fwd>
+void BroadcastForward(Broadcast kind, size_t rows, size_t cols,
+                      const float* __restrict x, const float* __restrict y,
+                      float* __restrict out, Fwd fwd) {
+  const size_t n = rows * cols;
   switch (kind) {
     case Broadcast::kSame:
-      return i;
-    case Broadcast::kScalar:
-      return 0;
+      for (size_t i = 0; i < n; ++i) out[i] = fwd(x[i], y[i]);
+      return;
+    case Broadcast::kScalar: {
+      const float yv = y[0];
+      for (size_t i = 0; i < n; ++i) out[i] = fwd(x[i], yv);
+      return;
+    }
     case Broadcast::kRow:
-      return i % a.cols;
+      for (size_t r = 0; r < rows; ++r) {
+        const float* xr = x + r * cols;
+        float* outr = out + r * cols;
+        for (size_t c = 0; c < cols; ++c) outr[c] = fwd(xr[c], y[c]);
+      }
+      return;
     case Broadcast::kCol:
-      return i / a.cols;
+      for (size_t r = 0; r < rows; ++r) {
+        const float* xr = x + r * cols;
+        float* outr = out + r * cols;
+        const float yv = y[r];
+        for (size_t c = 0; c < cols; ++c) outr[c] = fwd(xr[c], yv);
+      }
+      return;
   }
-  return 0;
+}
+
+/// ga += g * bwd_a(a, b) (when kGradA) and gb += g * bwd_b(a, b) summed
+/// over the a elements each b element meets (when kGradB). A b slot
+/// shared by several a elements (kScalar, kCol) accumulates in a local
+/// and is stored once: under those kinds a and b are distinct nodes, so
+/// ga never aliases it.
+template <bool kGradA, bool kGradB, typename BwdA, typename BwdB>
+void BroadcastBackward(Broadcast kind, size_t rows, size_t cols,
+                       const float* g, const float* x, const float* y,
+                       float* ga, float* gb, BwdA bwd_a, BwdB bwd_b) {
+  const size_t n = rows * cols;
+  switch (kind) {
+    case Broadcast::kSame:
+      for (size_t i = 0; i < n; ++i) {
+        if constexpr (kGradA) ga[i] += g[i] * bwd_a(x[i], y[i]);
+        if constexpr (kGradB) gb[i] += g[i] * bwd_b(x[i], y[i]);
+      }
+      return;
+    case Broadcast::kScalar: {
+      const float yv = y[0];
+      float acc = kGradB ? gb[0] : 0.0f;
+      for (size_t i = 0; i < n; ++i) {
+        if constexpr (kGradA) ga[i] += g[i] * bwd_a(x[i], yv);
+        if constexpr (kGradB) acc += g[i] * bwd_b(x[i], yv);
+      }
+      if constexpr (kGradB) gb[0] = acc;
+      return;
+    }
+    case Broadcast::kRow:
+      for (size_t r = 0; r < rows; ++r) {
+        const size_t base = r * cols;
+        for (size_t c = 0; c < cols; ++c) {
+          const size_t i = base + c;
+          if constexpr (kGradA) ga[i] += g[i] * bwd_a(x[i], y[c]);
+          if constexpr (kGradB) gb[c] += g[i] * bwd_b(x[i], y[c]);
+        }
+      }
+      return;
+    case Broadcast::kCol:
+      for (size_t r = 0; r < rows; ++r) {
+        const size_t base = r * cols;
+        const float yv = y[r];
+        float acc = kGradB ? gb[r] : 0.0f;
+        for (size_t c = 0; c < cols; ++c) {
+          const size_t i = base + c;
+          if constexpr (kGradA) ga[i] += g[i] * bwd_a(x[i], yv);
+          if constexpr (kGradB) acc += g[i] * bwd_b(x[i], yv);
+        }
+        if constexpr (kGradB) gb[r] = acc;
+      }
+      return;
+  }
 }
 
 template <typename Fwd, typename BwdA, typename BwdB>
 Tensor BinaryBroadcastOp(const Tensor& a, const Tensor& b, Fwd fwd, BwdA bwd_a,
                          BwdB bwd_b) {
-  Node& an = *a.node();
-  Node& bn = *b.node();
+  const Node& an = *a.node();
+  const Node& bn = *b.node();
   const Broadcast kind = BroadcastKind(an, bn);
-  auto node = MakeNode(an.rows, an.cols, {a.node(), b.node()});
-  for (size_t i = 0; i < node->size(); ++i) {
-    node->data[i] = fwd(an.data[i], bn.data[BIndex(kind, an, i)]);
-  }
+  auto node = MakeNode(an.rows, an.cols, a, b);
+  BroadcastForward(kind, an.rows, an.cols, an.data.data(), bn.data.data(),
+                   node->data.data(), fwd);
   if (node->requires_grad) {
     node->backward = [kind, bwd_a, bwd_b](Node& self) {
       Node& pa = *self.parents[0];
       Node& pb = *self.parents[1];
       float* ga = internal::GradBuf(pa);
       float* gb = internal::GradBuf(pb);
-      for (size_t i = 0; i < self.size(); ++i) {
-        const size_t j = BIndex(kind, pa, i);
-        const float g = self.grad[i];
-        const float av = pa.data[i];
-        const float bv = pb.data[j];
-        if (pa.requires_grad) ga[i] += g * bwd_a(av, bv);
-        if (pb.requires_grad) gb[j] += g * bwd_b(av, bv);
+      const float* g = self.grad.data();
+      const float* x = pa.data.data();
+      const float* y = pb.data.data();
+      if (pa.requires_grad && pb.requires_grad) {
+        BroadcastBackward<true, true>(kind, pa.rows, pa.cols, g, x, y, ga, gb,
+                                      bwd_a, bwd_b);
+      } else if (pa.requires_grad) {
+        BroadcastBackward<true, false>(kind, pa.rows, pa.cols, g, x, y, ga,
+                                       gb, bwd_a, bwd_b);
+      } else {
+        BroadcastBackward<false, true>(kind, pa.rows, pa.cols, g, x, y, ga,
+                                       gb, bwd_a, bwd_b);
       }
     };
   }
@@ -83,7 +173,7 @@ Tensor BinaryBroadcastOp(const Tensor& a, const Tensor& b, Fwd fwd, BwdA bwd_a,
 template <typename Fwd, typename Bwd>
 Tensor UnaryOp(const Tensor& a, Fwd fwd, Bwd bwd) {
   Node& an = *a.node();
-  auto node = MakeNode(an.rows, an.cols, {a.node()});
+  auto node = MakeNode(an.rows, an.cols, a);
   for (size_t i = 0; i < node->size(); ++i) node->data[i] = fwd(an.data[i]);
   if (node->requires_grad) {
     node->backward = [bwd](Node& self) {
@@ -106,7 +196,7 @@ template <typename Bwd>
 Tensor MapOp(const Tensor& a, void (*map)(const float*, float*, size_t),
              Bwd bwd) {
   Node& an = *a.node();
-  auto node = MakeNode(an.rows, an.cols, {a.node()});
+  auto node = MakeNode(an.rows, an.cols, a);
   map(an.data.data(), node->data.data(), node->size());
   if (node->requires_grad) {
     node->backward = [bwd](Node& self) {
@@ -152,7 +242,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   Node& bn = *b.node();
   KGREC_CHECK_EQ(an.cols, bn.rows);
   const size_t m = an.rows, k = an.cols, n = bn.cols;
-  auto node = MakeNode(m, n, {a.node(), b.node()});
+  auto node = MakeNode(m, n, a, b);
   kernels::MatMul(an.data.data(), bn.data.data(), node->data.data(), m, k, n);
   if (node->requires_grad) {
     node->backward = [m, k, n](Node& self) {
@@ -177,7 +267,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 
 Tensor Transpose(const Tensor& a) {
   Node& an = *a.node();
-  auto node = MakeNode(an.cols, an.rows, {a.node()});
+  auto node = MakeNode(an.cols, an.rows, a);
   for (size_t i = 0; i < an.rows; ++i) {
     for (size_t j = 0; j < an.cols; ++j) {
       node->data[j * an.rows + i] = an.data[i * an.cols + j];
@@ -250,7 +340,7 @@ Tensor Softplus(const Tensor& a) {
 
 Tensor Sum(const Tensor& a) {
   Node& an = *a.node();
-  auto node = MakeNode(1, 1, {a.node()});
+  auto node = MakeNode(1, 1, a);
   float acc = 0.0f;
   for (float v : an.data) acc += v;
   node->data[0] = acc;
@@ -271,7 +361,7 @@ Tensor Mean(const Tensor& a) {
 
 Tensor SumRows(const Tensor& a) {
   Node& an = *a.node();
-  auto node = MakeNode(an.rows, 1, {a.node()});
+  auto node = MakeNode(an.rows, 1, a);
   for (size_t i = 0; i < an.rows; ++i) {
     float acc = 0.0f;
     for (size_t j = 0; j < an.cols; ++j) acc += an.data[i * an.cols + j];
@@ -296,7 +386,7 @@ Tensor MeanRows(const Tensor& a) {
 
 Tensor SumCols(const Tensor& a) {
   Node& an = *a.node();
-  auto node = MakeNode(1, an.cols, {a.node()});
+  auto node = MakeNode(1, an.cols, a);
   std::fill(node->data.begin(), node->data.end(), 0.0f);
   for (size_t i = 0; i < an.rows; ++i) {
     for (size_t j = 0; j < an.cols; ++j) {
@@ -319,7 +409,7 @@ Tensor SumCols(const Tensor& a) {
 
 Tensor Softmax(const Tensor& a) {
   Node& an = *a.node();
-  auto node = MakeNode(an.rows, an.cols, {a.node()});
+  auto node = MakeNode(an.rows, an.cols, a);
   kernels::SoftmaxRows(an.data.data(), node->data.data(), an.rows, an.cols);
   if (node->requires_grad) {
     node->backward = [](Node& self) {
@@ -342,7 +432,7 @@ Tensor Concat(const Tensor& a, const Tensor& b) {
   Node& bn = *b.node();
   KGREC_CHECK_EQ(an.rows, bn.rows);
   const size_t na = an.cols, nb = bn.cols;
-  auto node = MakeNode(an.rows, na + nb, {a.node(), b.node()});
+  auto node = MakeNode(an.rows, na + nb, a, b);
   for (size_t i = 0; i < an.rows; ++i) {
     std::copy_n(an.data.data() + i * na, na,
                 node->data.data() + i * (na + nb));
@@ -372,7 +462,7 @@ Tensor Concat(const Tensor& a, const Tensor& b) {
 Tensor Gather(const Tensor& table, const std::vector<int32_t>& indices) {
   Node& tn = *table.node();
   const size_t d = tn.cols;
-  auto node = MakeNode(indices.size(), d, {table.node()});
+  auto node = MakeNode(indices.size(), d, table);
   for (size_t i = 0; i < indices.size(); ++i) {
     KGREC_CHECK(indices[i] >= 0 && static_cast<size_t>(indices[i]) < tn.rows);
     std::copy_n(tn.data.data() + indices[i] * d, d, node->data.data() + i * d);
@@ -398,7 +488,7 @@ Tensor RowwiseDot(const Tensor& a, const Tensor& b) {
   KGREC_CHECK_EQ(an.rows, bn.rows);
   KGREC_CHECK_EQ(an.cols, bn.cols);
   const size_t d = an.cols;
-  auto node = MakeNode(an.rows, 1, {a.node(), b.node()});
+  auto node = MakeNode(an.rows, 1, a, b);
   for (size_t i = 0; i < an.rows; ++i) {
     node->data[i] =
         kernels::Dot(an.data.data() + i * d, bn.data.data() + i * d, d);
@@ -429,7 +519,7 @@ Tensor RowwiseVecMat(const Tensor& x, const Tensor& w) {
   const size_t batch = xn.rows, d = xn.cols;
   KGREC_CHECK_EQ(wn.rows, batch);
   KGREC_CHECK_EQ(wn.cols, d * d);
-  auto node = MakeNode(batch, d, {x.node(), w.node()});
+  auto node = MakeNode(batch, d, x, w);
   for (size_t b = 0; b < batch; ++b) {
     // Row b: out = xv . mat, one (1 x d) x (d x d) product.
     kernels::MatMul(xn.data.data() + b * d, wn.data.data() + b * d * d,
@@ -465,7 +555,7 @@ Tensor RowwiseVecMat(const Tensor& x, const Tensor& w) {
 Tensor Reshape(const Tensor& a, size_t rows, size_t cols) {
   Node& an = *a.node();
   KGREC_CHECK_EQ(an.size(), rows * cols);
-  auto node = MakeNode(rows, cols, {a.node()});
+  auto node = MakeNode(rows, cols, a);
   node->data = an.data;
   if (node->requires_grad) {
     node->backward = [](Node& self) {
@@ -483,7 +573,7 @@ Tensor GroupSumRows(const Tensor& a, size_t group_size) {
   KGREC_CHECK_EQ(an.rows % group_size, 0u);
   const size_t groups = an.rows / group_size;
   const size_t d = an.cols;
-  auto node = MakeNode(groups, d, {a.node()});
+  auto node = MakeNode(groups, d, a);
   std::fill(node->data.begin(), node->data.end(), 0.0f);
   for (size_t r = 0; r < an.rows; ++r) {
     const size_t g = r / group_size;
@@ -511,7 +601,7 @@ Tensor IndexedSumRows(const Tensor& values,
   Node& vn = *values.node();
   KGREC_CHECK_EQ(vn.rows, indices.size());
   const size_t d = vn.cols;
-  auto node = MakeNode(num_rows, d, {values.node()});
+  auto node = MakeNode(num_rows, d, values);
   std::fill(node->data.begin(), node->data.end(), 0.0f);
   for (size_t i = 0; i < indices.size(); ++i) {
     KGREC_CHECK(indices[i] >= 0 &&
@@ -537,7 +627,7 @@ Tensor IndexedSumRows(const Tensor& values,
 Tensor SliceCols(const Tensor& a, size_t start, size_t len) {
   Node& an = *a.node();
   KGREC_CHECK_LE(start + len, an.cols);
-  auto node = MakeNode(an.rows, len, {a.node()});
+  auto node = MakeNode(an.rows, len, a);
   for (size_t r = 0; r < an.rows; ++r) {
     std::copy_n(an.data.data() + r * an.cols + start, len,
                 node->data.data() + r * len);
@@ -561,7 +651,7 @@ Tensor L2Norm(const Tensor& a) { return Sum(Square(a)); }
 Tensor BceWithLogits(const Tensor& logits, const std::vector<float>& targets) {
   Node& ln = *logits.node();
   KGREC_CHECK_EQ(ln.size(), targets.size());
-  auto node = MakeNode(1, 1, {logits.node()});
+  auto node = MakeNode(1, 1, logits);
   double acc = 0.0;
   for (size_t i = 0; i < ln.size(); ++i) {
     const float z = ln.data[i];
@@ -597,7 +687,7 @@ Tensor MarginRankingLoss(const Tensor& pos, const Tensor& neg, float margin) {
 Tensor MseLoss(const Tensor& a, const std::vector<float>& targets) {
   Node& an = *a.node();
   KGREC_CHECK_EQ(an.size(), targets.size());
-  auto node = MakeNode(1, 1, {a.node()});
+  auto node = MakeNode(1, 1, a);
   double acc = 0.0;
   for (size_t i = 0; i < an.size(); ++i) {
     const double diff = an.data[i] - targets[i];

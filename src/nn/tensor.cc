@@ -16,6 +16,9 @@ namespace {
 /// to the node's own buffer.
 thread_local GradShadow* g_active_shadow = nullptr;
 
+/// Whether a NoGradScope is alive on this thread.
+thread_local bool g_no_grad = false;
+
 }  // namespace
 
 void RowSet::Merge(const RowSet& other) {
@@ -151,9 +154,19 @@ Tensor Tensor::Wrap(std::shared_ptr<internal::Node> node) {
   return t;
 }
 
+NoGradScope::NoGradScope() : previous_(internal::g_no_grad) {
+  internal::g_no_grad = true;
+}
+
+NoGradScope::~NoGradScope() { internal::g_no_grad = previous_; }
+
+bool NoGradScope::active() { return internal::g_no_grad; }
+
 void Backward(const Tensor& loss) {
   KGREC_CHECK(loss.defined());
   KGREC_CHECK_EQ(loss.size(), 1u);
+  KGREC_CHECK(!NoGradScope::active());
+  KGREC_CHECK(loss.requires_grad());
   using internal::Node;
   // Iterative post-order DFS to topologically sort the graph.
   std::vector<Node*> order;

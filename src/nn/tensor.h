@@ -203,9 +203,41 @@ class Tensor {
   std::shared_ptr<internal::Node> node_;
 };
 
+/// While alive, ops on the constructing thread build no autograd graph:
+/// each result records no parents, gets no grad buffer and no backward
+/// closure, and reports requires_grad() == false, so an intermediate is
+/// freed as soon as its last handle goes out of scope. Forward values
+/// are bitwise those computed outside the scope; only allocation
+/// changes. This is the inference mode (torch.no_grad()): the serve
+/// path (ServeHandle scoring) and the evaluation protocols install it
+/// around scoring. Never install it around training — Fit, Update or
+/// anything that calls Backward() — as Backward() aborts inside a scope.
+///
+/// The flag is thread-local: a scope covers only the thread that made
+/// it, so code that fans scoring out to a pool must open one inside each
+/// task. Scopes nest; destruction restores the enclosing state.
+class NoGradScope {
+ public:
+  NoGradScope();
+  ~NoGradScope();
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+  /// True while a NoGradScope is alive on the calling thread.
+  static bool active();
+
+ private:
+  bool previous_;
+};
+
 /// Runs reverse-mode differentiation from the given scalar (1x1) loss,
 /// accumulating into the grad buffers of all reachable requires_grad
 /// tensors. Gradients accumulate across calls until ZeroGrad().
+///
+/// Aborts when `loss` does not require grad or a NoGradScope is active
+/// on the calling thread: either means the graph was built without
+/// parameters to train (most likely a scope left around a training
+/// step), and a silent no-op would freeze the model.
 void Backward(const Tensor& loss);
 
 }  // namespace kgrec::nn

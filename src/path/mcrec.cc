@@ -39,7 +39,6 @@ nn::Tensor McRecRecommender::ForwardImpl(
   const size_t batch = users.size();
   const size_t num_types = type_keys_.size();
   const size_t p = config_.instances_per_type;
-  const size_t d = config_.dim;
   const size_t rows = batch * num_types * p;
 
   // Collect padded instances and per-type presence masks.

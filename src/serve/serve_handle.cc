@@ -3,6 +3,7 @@
 #include "core/check.h"
 #include "core/registry.h"
 #include "math/topk.h"
+#include "nn/tensor.h"
 #include "retrieval/factors.h"
 
 namespace kgrec::serve {
@@ -164,12 +165,14 @@ Status ServeHandle::CheckIds(int32_t user,
 float ServeHandle::Score(int32_t user, int32_t item) const {
   const int32_t items[] = {item};
   KGREC_CHECK(CheckIds(user, items).ok());
+  nn::NoGradScope no_grad;
   return model_->Score(user, item);
 }
 
 Status ServeHandle::Score(int32_t user, int32_t item, float* out) const {
   const int32_t items[] = {item};
   KGREC_RETURN_IF_ERROR(CheckIds(user, items));
+  nn::NoGradScope no_grad;
   *out = model_->Score(user, item);
   return Status::OK();
 }
@@ -177,12 +180,14 @@ Status ServeHandle::Score(int32_t user, int32_t item, float* out) const {
 std::vector<float> ServeHandle::ScoreItems(
     int32_t user, std::span<const int32_t> items) const {
   KGREC_CHECK(CheckIds(user, items).ok());
+  nn::NoGradScope no_grad;
   return model_->ScoreItems(user, items);
 }
 
 Status ServeHandle::ScoreItems(int32_t user, std::span<const int32_t> items,
                                std::vector<float>* out) const {
   KGREC_RETURN_IF_ERROR(CheckIds(user, items));
+  nn::NoGradScope no_grad;
   *out = model_->ScoreItems(user, items);
   return Status::OK();
 }
@@ -190,6 +195,7 @@ Status ServeHandle::ScoreItems(int32_t user, std::span<const int32_t> items,
 std::vector<std::pair<int32_t, float>> ServeHandle::Recommend(
     int32_t user, size_t k, std::span<const int32_t> exclude) const {
   KGREC_CHECK(CheckIds(user).ok());
+  nn::NoGradScope no_grad;
   const std::vector<int32_t> sorted_exclude =
       retrieval::SanitizeExclude(exclude, num_items_);
 

@@ -60,7 +60,9 @@ struct RetrievalSpec {
 /// cache, a scratch buffer) does not compile behind a handle. Combined
 /// with the zoo-wide audit that no Score path writes through `mutable`
 /// members or const_cast (see DESIGN §9), any number of threads may call
-/// into one handle concurrently with no locking.
+/// into one handle concurrently with no locking. Every scoring entry
+/// (Score, ScoreItems, Recommend) runs under an nn::NoGradScope, so a
+/// request builds no autograd graph (DESIGN §8f).
 ///
 /// Handles are created once (from a checkpoint via Open(), or by adopting
 /// an already-fitted model via Adopt()) and never modified; "updating" a

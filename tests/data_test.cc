@@ -196,6 +196,20 @@ TEST(NegativeSampler, UserOwningEveryItemGetsTheDrawAfterTheProbes) {
   }
 }
 
+// SampleMany caps its count at the items the user lacks, counted
+// without duplicate events: a user who owns all 5 items through 6
+// events lacks none, so no owned item may come back as a negative (the
+// duplicate once wrapped the cap and let owned items through).
+TEST(NegativeSampler, SampleManyCountsDuplicateEventsOnce) {
+  constexpr int32_t kItems = 5;
+  InteractionDataset data(1, kItems);
+  for (int32_t i = 0; i < kItems; ++i) data.Add(0, i);
+  data.Add(0, 2);
+  NegativeSampler sampler(data);
+  Rng rng(3);
+  EXPECT_TRUE(sampler.SampleMany(0, 3, rng).empty());
+}
+
 WorldConfig TestConfig() {
   WorldConfig config;
   config.num_users = 60;

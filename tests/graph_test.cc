@@ -365,7 +365,9 @@ TEST(PathSim, SelfSimilarityIsOneAndSymmetric) {
       EXPECT_GE(s, 0.0f);
       EXPECT_LE(s, 1.0f);
       EXPECT_FLOAT_EQ(s, sim.At(f, e));  // symmetric meta-path => symmetric
-      if (e == f && s != 0.0f) EXPECT_FLOAT_EQ(s, 1.0f);
+      if (e == f && s != 0.0f) {
+        EXPECT_FLOAT_EQ(s, 1.0f);
+      }
     }
   }
   EntityId avatar = -1, interstellar = -1;

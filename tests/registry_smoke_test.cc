@@ -10,9 +10,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cf/mf.h"
@@ -22,6 +25,7 @@
 #include "data/synthetic.h"
 #include "eval/protocol.h"
 #include "math/topk.h"
+#include "nn/tensor.h"
 #include "unistd.h"
 
 namespace kgrec {
@@ -221,6 +225,73 @@ TEST_P(RegistrySmoke, SaveLoadRoundtripIsBitwise) {
     }
   }
   std::remove(path.c_str());
+}
+
+bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Every item, then repeats that exercise the batched scorers' dedup.
+std::vector<int32_t> AllItemsAndRepeats() {
+  std::vector<int32_t> items(SharedWorld().split.train.num_items());
+  std::iota(items.begin(), items.end(), 0);
+  items.insert(items.end(), {3, 0, items.back()});
+  return items;
+}
+
+// Graph-free scoring (DESIGN §8f): inside nn::NoGradScope, Score and
+// ScoreItems equal the same calls outside it bitwise. Run by the
+// nn_inference_test ctest entry (*NnInference*).
+TEST_P(RegistrySmoke, NnInferenceScopeScoresBitwise) {
+  const Recommender& model = FittedModel(GetParam());
+  const std::vector<int32_t> items = AllItemsAndRepeats();
+  for (int32_t user : {0, 13, 39}) {
+    const std::vector<float> batched = model.ScoreItems(user, items);
+    const std::vector<float> single{model.Score(user, 0),
+                                    model.Score(user, items.back())};
+    nn::NoGradScope scope;
+    EXPECT_TRUE(BitwiseEqual(model.ScoreItems(user, items), batched))
+        << GetParam() << " user " << user;
+    const std::vector<float> scoped_single{model.Score(user, 0),
+                                           model.Score(user, items.back())};
+    EXPECT_TRUE(BitwiseEqual(scoped_single, single))
+        << GetParam() << " user " << user;
+  }
+}
+
+// Three threads score one model at once, each under its own scope, and
+// each gets the single-threaded graph-building scores bitwise.
+TEST(NnInferenceScope, ThreeThreadsScoreOneModelUnderTheScope) {
+  const Recommender& model = FittedModel("KGCN");
+  const int32_t num_users = SharedWorld().split.train.num_users();
+  const std::vector<int32_t> items = AllItemsAndRepeats();
+  std::vector<std::vector<float>> reference(num_users);
+  for (int32_t u = 0; u < num_users; ++u) {
+    reference[u] = model.ScoreItems(u, items);
+  }
+  constexpr int kThreads = 3;
+  std::vector<std::vector<std::vector<float>>> got(
+      kThreads, std::vector<std::vector<float>>(num_users));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      nn::NoGradScope scope;
+      // Each thread starts at its own user, so the threads score
+      // different users at the same time as well as the same ones.
+      for (int32_t k = 0; k < num_users; ++k) {
+        const int32_t u = (k + t * 13) % num_users;
+        got[t][u] = model.ScoreItems(u, items);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int32_t u = 0; u < num_users; ++u) {
+      EXPECT_TRUE(BitwiseEqual(got[t][u], reference[u]))
+          << "thread " << t << " user " << u;
+    }
+  }
 }
 
 std::vector<char> ReadFile(const std::string& path) {

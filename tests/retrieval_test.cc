@@ -62,6 +62,12 @@ void Note(std::size_t size) {
   ++g_count;
   if (size > g_largest) g_largest = size;
 }
+
+// Every replacement delete frees through this one out-of-line call. Were
+// std::free inlined into a delete expression, GCC would see free() on a
+// pointer from operator new and flag a -Wmismatched-new-delete that does
+// not hold: the replacement operator new allocates with malloc.
+[[gnu::noinline]] void Release(void* p) noexcept { std::free(p); }
 }  // namespace kgrec_test_alloc
 
 void* operator new(std::size_t size) {
@@ -92,22 +98,21 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+using kgrec_test_alloc::Release;
+void operator delete(void* p, std::align_val_t) noexcept { Release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { Release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  Release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  Release(p);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+void operator delete(void* p) noexcept { Release(p); }
+void operator delete[](void* p) noexcept { Release(p); }
+void operator delete(void* p, std::size_t) noexcept { Release(p); }
+void operator delete[](void* p, std::size_t) noexcept { Release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { Release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { Release(p); }
 
 namespace kgrec {
 namespace {
